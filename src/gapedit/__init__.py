@@ -33,7 +33,6 @@ from .metering import (
 from .reductions import (
     BlockGrid,
     KeyLemmaReport,
-    OracleCall,
     ParameterError,
     ReductionOutcome,
     exact_gap_oracle,
@@ -51,7 +50,6 @@ from .reductions import (
 )
 from .testers import (
     Batch,
-    FingerprintTrie,
     TesterConfig,
     UnsupportedRegimeError,
     baseline_gap,

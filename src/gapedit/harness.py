@@ -281,15 +281,26 @@ class GridConfig:
     trials: int = 10
     seed: int = 1
     alphabet: int = 1 << 32
-    leaf: str = "sample"
 
     def cells(self):
         return list(product(self.tester, self.family, self.n, self.c, self.k))
 
 
+def _h_value(v: str) -> Optional[int]:
+    return None if v == "auto" else int(v)
+
+
+_AXIS_KEYS = {"n": int, "k": int, "c": float, "tester": str, "family": str}
+_SCALAR_KEYS = {"h": _h_value, "delta": float, "trials": int, "seed": int, "alphabet": int}
+
+
 def parse_config_text(text: str) -> GridConfig:
-    """Parse the key=value grid format; comma-separated values make axes."""
-    values: dict[str, list[str]] = {}
+    """Parse the key=value grid format; comma-separated values make axes.
+
+    Axis keys take one or more values, scalar keys exactly one. Unknown keys,
+    repeated keys and malformed values are errors that name the line.
+    """
+    fields: dict[str, object] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -297,32 +308,23 @@ def parse_config_text(text: str) -> GridConfig:
         if "=" not in line:
             raise ValueError(f"config line {ln}: expected key = value")
         key, _, rhs = line.partition("=")
-        values[key.strip()] = [v.strip() for v in rhs.split(",") if v.strip()]
-
-    def ints(key, default):
-        return tuple(int(v) for v in values[key]) if key in values else default
-
-    def one_int(key, default):
-        if key not in values:
-            return default
-        (v,) = values[key]
-        return int(v)
-
-    cfg = GridConfig(
-        n=ints("n", (16384,)),
-        k=ints("k", (16,)),
-        c=tuple(float(v) for v in values["c"]) if "c" in values else (2.0,),
-        tester=tuple(values["tester"]) if "tester" in values else ("main",),
-        family=tuple(values["family"]) if "family" in values else ("random-edits",),
-        h=None
-        if values.get("h", ["auto"])[0] == "auto"
-        else int(values["h"][0]),
-        delta=float(values["delta"][0]) if "delta" in values else 0.1,
-        trials=one_int("trials", 10),
-        seed=one_int("seed", 1),
-        alphabet=one_int("alphabet", 1 << 32),
-        leaf=values.get("leaf", ["sample"])[0],
-    )
+        key = key.strip()
+        vals = [v.strip() for v in rhs.split(",") if v.strip()]
+        if key in fields:
+            raise ValueError(f"config line {ln}: {key!r} is set twice")
+        try:
+            if key in _AXIS_KEYS:
+                fields[key] = tuple(_AXIS_KEYS[key](v) for v in vals)
+            elif key in _SCALAR_KEYS:
+                if len(vals) != 1:
+                    raise ValueError(f"{key!r} takes one value, got {len(vals)}")
+                fields[key] = _SCALAR_KEYS[key](vals[0])
+            else:
+                known = sorted(_AXIS_KEYS.keys() | _SCALAR_KEYS.keys())
+                raise ValueError(f"unknown key {key!r}; known: {known}")
+        except ValueError as exc:
+            raise ValueError(f"config line {ln}: {exc}") from None
+    cfg = GridConfig(**fields)
     for t in cfg.tester:
         if t not in TESTERS:
             raise ValueError(f"unknown tester {t!r}; known: {sorted(TESTERS)}")
@@ -388,7 +390,7 @@ def run_grid(config: GridConfig, out) -> GridResult:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     result = GridResult()
-    tester_cfg = TesterConfig(delta=config.delta, h=config.h, leaf=config.leaf)
+    tester_cfg = TesterConfig(delta=config.delta, h=config.h)
 
     for cell_idx, (tester, family, n, c, k) in enumerate(config.cells()):
         alpha = int(k**c)

@@ -14,7 +14,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable
 
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
 from .metering import RandomStream
@@ -58,7 +58,7 @@ def _tally(k: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Block grids and call records
+# Block grids and outcomes
 # ---------------------------------------------------------------------------
 
 
@@ -87,21 +87,11 @@ class BlockGrid:
         return start, min(self.n, start + (1 << self.p)) - start
 
 
-@dataclass(frozen=True)
-class OracleCall:
-    kind: str  # "gap" or "shifted"
-    x_start: int
-    y_start: int
-    length: int
-    thresholds: tuple[int, ...]
-
-
 @dataclass
 class ReductionOutcome:
     yes: bool
     no_count: int
     call_count: int
-    calls: Optional[list[tuple[OracleCall, bool]]] = None
 
     @property
     def verdict(self) -> str:
@@ -183,18 +173,13 @@ def _run_gap_calls(
     beta: int,
     oracle: GapOracle,
     rs: RandomStream,
-    record: bool,
 ) -> ReductionOutcome:
     """Execute planned (start, length) gap calls; plan entries are (start, length, _)."""
-    calls = [] if record else None
     no_count = 0
     for start, length, _ in plan:
-        ans = oracle(xv.sub(start, length), yv.sub(start, length), alpha, beta, rs)
-        if not ans:
+        if not oracle(xv.sub(start, length), yv.sub(start, length), alpha, beta, rs):
             no_count += 1
-        if calls is not None:
-            calls.append((OracleCall("gap", start, start, length, (alpha, beta)), ans))
-    return ReductionOutcome(no_count == 0, no_count, len(plan), calls)
+    return ReductionOutcome(no_count == 0, no_count, len(plan))
 
 
 def _draw_blocks(n: int, levels: list[tuple[int, int]], rs: RandomStream):
@@ -218,7 +203,6 @@ def single_level_reduce(
     phi: int,
     oracle: GapOracle,
     rs: RandomStream,
-    record: bool = False,
 ) -> ReductionOutcome:
     """One-level blocked reduction to a smaller-gap oracle.
 
@@ -239,7 +223,7 @@ def single_level_reduce(
         i = rs.uniform_index(m)
         start = i * b
         plan.append((start, min(b, n - start), 0))
-    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs, record)
+    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs)
 
 
 def multilevel_reduce(
@@ -250,7 +234,6 @@ def multilevel_reduce(
     phi: int,
     oracle: GapOracle,
     rs: RandomStream,
-    record: bool = False,
 ) -> ReductionOutcome:
     """Multi-level blocked reduction: sample every block length 2^p at one rate.
 
@@ -268,7 +251,7 @@ def multilevel_reduce(
         )
     levels = level_plan(n, 10 * phi, alpha, ceil_log2(phi))
     plan = _draw_blocks(n, levels, rs)
-    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs, record)
+    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs)
 
 
 @dataclass(frozen=True)
@@ -341,7 +324,6 @@ def gap_to_shifted(
     phi: int,
     oracle: ShiftedOracle,
     rs: RandomStream,
-    record: bool = False,
 ) -> ReductionOutcome:
     """Reduce a gap instance to shifted-gap oracle calls on block pairs.
 
@@ -364,17 +346,11 @@ def gap_to_shifted(
         )
     levels = level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi))
     plan = _draw_blocks(n, levels, rs)
-    calls = [] if record else None
     no_count = 0
     for start, length, _ in plan:
-        ans = oracle(xv.sub(start, length), yv.sub(start, length), phi, beta, psi, rs)
-        if not ans:
+        if not oracle(xv.sub(start, length), yv.sub(start, length), phi, beta, psi, rs):
             no_count += 1
-        if calls is not None:
-            calls.append(
-                (OracleCall("shifted", start, start, length, (phi, beta, psi)), ans)
-            )
-    return ReductionOutcome(no_count <= 5, no_count, len(plan), calls)
+    return ReductionOutcome(no_count <= 5, no_count, len(plan))
 
 
 def gap_to_shifted_call_count(n: int, alpha: int, phi: int) -> int:
@@ -412,20 +388,6 @@ def shift_grid(beta: int, gamma: int, spread: int) -> tuple[list[int], list[int]
     return xs, ys
 
 
-def _shifted_exact_fallback(xv: View, yv: View, beta: int, gamma: int) -> bool:
-    """Degenerate case n <= beta: read everything, decide ED_beta <= gamma exactly."""
-    _tally()
-    bx = xv.fetch()
-    by = yv.fetch()
-    n = len(bx)
-    cap = min(n, beta)
-    for d in range(0, cap + 1):
-        for a, b in ((bx[d:], by[: n - d]), (bx[: n - d], by[d:])):
-            if gap_ed_banded(a, b, gamma) is not EXCEEDS:
-                return True
-    return False
-
-
 def shifted_to_gap(
     xv: View,
     yv: View,
@@ -434,8 +396,6 @@ def shifted_to_gap(
     gamma: int,
     oracle: GapOracle,
     rs: RandomStream,
-    record: bool = False,
-    spread: int | None = None,
 ) -> ReductionOutcome:
     """Deterministic reduction from a shifted-gap instance to gap oracle calls.
 
@@ -450,13 +410,10 @@ def shifted_to_gap(
         raise ParameterError(f"need alpha >= 3*gamma, got alpha={alpha} gamma={gamma}")
     if not (alpha >= beta >= gamma >= 0):
         raise ParameterError("need alpha >= beta >= gamma >= 0")
-    if n <= beta:
-        yes = _shifted_exact_fallback(xv, yv, beta, gamma)
-        return ReductionOutcome(yes, 0 if yes else 1, 1, None)
-    if spread is None:
-        spread = shift_grid_spread(beta, gamma)
-    if not (1 + gamma) <= spread <= (1 + beta):
-        raise ParameterError(f"spread {spread} outside [{1 + gamma}, {1 + beta}]")
+    if n <= beta:  # degenerate: read everything and decide exactly
+        yes = exact_shifted_oracle(xv, yv, alpha, beta, gamma, rs)
+        return ReductionOutcome(yes, 0 if yes else 1, 1)
+    spread = shift_grid_spread(beta, gamma)
     xs, ys = shift_grid(beta, gamma, spread)
     n_calls = len(xs) * len(ys)
     assert n_calls * (1 + gamma) <= 16 * (1 + beta), "call-count bound violated"
@@ -464,20 +421,9 @@ def shifted_to_gap(
         spread, 1 + gamma
     ), "distinct-substring bound violated"
     n_prime = n - beta
-    calls = [] if record else None
-    answers = []
-    for x_off in xs:
-        for y_off in ys:
-            ans = oracle(
-                xv.sub(x_off, n_prime), yv.sub(y_off, n_prime), alpha, 3 * gamma, rs
-            )
-            answers.append(ans)
-            if calls is not None:
-                calls.append(
-                    (
-                        OracleCall("gap", x_off, y_off, n_prime, (alpha, 3 * gamma)),
-                        ans,
-                    )
-                )
-    yes = any(answers)
-    return ReductionOutcome(yes, sum(1 for a in answers if not a), len(answers), calls)
+    answers = [
+        oracle(xv.sub(x_off, n_prime), yv.sub(y_off, n_prime), alpha, 3 * gamma, rs)
+        for x_off in xs
+        for y_off in ys
+    ]
+    return ReductionOutcome(any(answers), answers.count(False), len(answers))

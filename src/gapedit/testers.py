@@ -4,13 +4,14 @@ The stack, bottom to top:
 
 - ``equality_test``: the zero-gap sampler.
 - ``batched_shifted_h0``: shifted tester with gamma=0 backed by a shared
-  fingerprint sample and a trie over the common string's windows.
+  fingerprint sample and a set of the common string's window fingerprints.
 - ``batched_gap_h1`` / ``batched_shifted_h1`` / ``batched_gap_h2``: the
   specialized shallow recursions; batches share one sample plan.
 - ``baseline_gap`` / ``baseline_shifted``: the plain mutual recursion.
 - ``main_gap`` / ``main_shifted``: dispatch that picks the cheapest
-  applicable tier, with a wide-range multilevel tier for moderate gaps and
-  an UNSUPPORTED-REGIME error (never a crash) when nothing applies.
+  applicable tier from one table of depth rows, with a wide-range
+  multilevel tier for moderate gaps and an UNSUPPORTED-REGIME error (never
+  a crash) when nothing applies.
 
 Testers never short-circuit across planned oracle calls or repetitions, so
 their read sequences depend only on (n, parameters, seed).
@@ -26,9 +27,9 @@ from .intmath import ceil_div, ceil_log2, iroot
 from .metering import RandomStream
 from .reductions import (
     ParameterError,
-    _shifted_exact_fallback,
     _tally,
     exact_gap_oracle,
+    exact_shifted_oracle,
     gap_to_shifted,
     gap_to_shifted_call_count,
     level_plan,
@@ -55,8 +56,7 @@ class TesterConfig:
     """Knobs shared by the recursive testers.
 
     ``h`` requests an explicit recursion depth (validated strictly); ``None``
-    lets the dispatch pick. ``leaf`` selects how zero-gap leaves are decided:
-    position sampling or an exact full read.
+    lets the dispatch pick, with recursion depths up to ``h_max``.
     """
 
     __test__ = False  # pytest: not a test class despite the name
@@ -64,15 +64,12 @@ class TesterConfig:
     delta: float = 0.1
     h: Optional[int] = None
     h_max: int = 6
-    leaf: str = "sample"
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0,1), got {self.delta}")
         if self.h is not None and not 0 <= self.h <= self.h_max:
             raise ValueError(f"h must lie in [0, {self.h_max}], got {self.h}")
-        if self.leaf not in ("sample", "exact"):
-            raise ValueError(f"leaf must be 'sample' or 'exact', got {self.leaf!r}")
 
 
 def reps_majority(delta: float) -> int:
@@ -88,91 +85,6 @@ def reps_any(delta: float) -> int:
     if delta >= exp(-1):
         return 1
     return max(1, int(-(-log(1 / delta) // 1)))
-
-
-# ---------------------------------------------------------------------------
-# Zero-gap equality tester
-# ---------------------------------------------------------------------------
-
-
-def equality_test(xv: View, yv: View, alpha: int, delta: float, rs: RandomStream) -> bool:
-    """Gap tester for thresholds (alpha, 0) via position sampling.
-
-    Equal strings always answer YES. When ED > alpha the Hamming distance
-    also exceeds alpha, so m = ceil(n/(1+alpha) * ln(1/delta')) uniform
-    positions catch a mismatch with probability >= 1 - delta'.
-    """
-    n = len(xv)
-    if len(yv) != n:
-        raise ParameterError("equality test needs equal lengths")
-    if alpha < 0:
-        raise ParameterError("alpha must be >= 0")
-    _tally()
-    if alpha >= n:
-        return True  # ED <= n <= alpha: the NO promise is vacuous
-    dp = min(delta, 1 / 3)
-    m = min(n, int(-(-(n / (1 + alpha)) * log(1 / dp) // 1)))
-    positions = [rs.uniform_index(n) for _ in range(m)]
-    got_x = xv.read_many(positions)
-    got_y = yv.read_many(positions)
-    return got_x == got_y
-
-
-def _zero_gap_leaf(
-    xv: View, yv: View, alpha: int, delta: float, rs: RandomStream, leaf: str
-) -> bool:
-    if leaf == "exact":
-        _tally()
-        return xv.fetch() == yv.fetch()
-    return equality_test(xv, yv, alpha, delta, rs)
-
-
-# ---------------------------------------------------------------------------
-# Fingerprint trie
-# ---------------------------------------------------------------------------
-
-
-class _TrieNode:
-    __slots__ = ("children", "terminal")
-
-    def __init__(self):
-        self.children: dict[int, _TrieNode] = {}
-        self.terminal = False
-
-
-class FingerprintTrie:
-    """Ordered trie over symbol sequences; membership is exact set membership.
-
-    Construction touches each inserted key's symbols once. Dict children give
-    O(keylen) insert and query, within the required construction/query
-    complexity (the classic ternary layout is one valid realization, not a
-    requirement).
-    """
-
-    __slots__ = ("_root", "size")
-
-    def __init__(self):
-        self._root = _TrieNode()
-        self.size = 0
-
-    def insert(self, key) -> None:
-        node = self._root
-        for sym in key:
-            nxt = node.children.get(sym)
-            if nxt is None:
-                nxt = node.children[sym] = _TrieNode()
-            node = nxt
-        if not node.terminal:
-            node.terminal = True
-            self.size += 1
-
-    def __contains__(self, key) -> bool:
-        node = self._root
-        for sym in key:
-            node = node.children.get(sym)
-            if node is None:
-                return False
-        return node.terminal
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +117,12 @@ def single(xv: View, yv: View) -> Batch:
 
 
 def batched_equality(batch: Batch, alpha: int, delta: float, rs: RandomStream) -> list[bool]:
-    """Zero-gap tests against one common string, sharing a single sample."""
+    """Zero-gap tests against one common string, sharing a single sample.
+
+    Equal strings always answer YES. When ED > alpha the Hamming distance
+    also exceeds alpha, so m = ceil(n/(1+alpha) * ln(1/delta')) uniform
+    positions catch a mismatch with probability >= 1 - delta'.
+    """
     n = len(batch.x)
     _tally(batch.q)
     if alpha >= n:
@@ -215,6 +132,15 @@ def batched_equality(batch: Batch, alpha: int, delta: float, rs: RandomStream) -
     positions = [rs.uniform_index(n) for _ in range(m)]
     got_x = batch.x.read_many(positions)
     return [y.read_many(positions) == got_x for y in batch.ys]
+
+
+def equality_test(xv: View, yv: View, alpha: int, delta: float, rs: RandomStream) -> bool:
+    """Gap tester for thresholds (alpha, 0): the q = 1 case of batched_equality."""
+    if len(yv) != len(xv):
+        raise ParameterError("equality test needs equal lengths")
+    if alpha < 0:
+        raise ParameterError("alpha must be >= 0")
+    return batched_equality(single(xv, yv), alpha, delta, rs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +161,17 @@ def batched_shifted_h0(
 ) -> list[bool]:
     """Shifted gap tester with gamma = 0 for a batch sharing the first string.
 
-    Builds the offset grid, draws one shared position sample, inserts the
-    common string's window fingerprints into a trie, and answers each
-    instance YES iff one of its window fingerprints is a member. Each answer
-    errs with probability at most delta; exact window equality always YES.
+    Builds the offset grid, draws one shared position sample, collects the
+    common string's window fingerprints in a set, and answers each instance
+    YES iff one of its window fingerprints is a member. Each answer errs with
+    probability at most delta; exact window equality always YES.
     """
     n = len(batch.x)
     q = batch.q
     if beta < 0 or alpha < beta:
         raise ParameterError("need alpha >= beta >= 0")
     if n <= beta:
-        return [
-            _shifted_exact_fallback(batch.x, y, beta, 0) for y in batch.ys
-        ]
+        return [exact_shifted_oracle(batch.x, y, alpha, beta, 0, rs) for y in batch.ys]
     spread = h0_spread(q, beta)
     xs, ys_off = shift_grid(beta, 0, spread)
     _tally(len(xs) * len(ys_off) * q)
@@ -257,14 +181,12 @@ def batched_shifted_h0(
     m = max(m, 1)
     sample = [rs.uniform_index(n_prime) for _ in range(m)]
 
-    trie = FingerprintTrie()
-    for x_off in xs:
-        trie.insert(tuple(batch.x.sub(x_off, n_prime).read_many(sample)))
-
+    common = {tuple(batch.x.sub(x_off, n_prime).read_many(sample)) for x_off in xs}
     verdicts = []
     for y in batch.ys:
+        # every fingerprint is read before any membership test: reads stay non-adaptive
         fps = [tuple(y.sub(y_off, n_prime).read_many(sample)) for y_off in ys_off]
-        verdicts.append(any(fp in trie for fp in fps))
+        verdicts.append(any(fp in common for fp in fps))
     return verdicts
 
 
@@ -393,7 +315,7 @@ def batched_shifted_h1(
             f"n={n} alpha={alpha} gamma={gamma}"
         )
     if n <= beta:
-        return [_shifted_exact_fallback(batch.x, y, beta, gamma) for y in batch.ys]
+        return [exact_shifted_oracle(batch.x, y, alpha, beta, gamma, rs) for y in batch.ys]
     gbar, xi = h1_shifted_params(n, alpha, beta, gamma, batch.q)
     assert h1_gate(n, alpha, 3 * gbar), "raised gamma keeps the h=1 gap gate valid"
     xs, ys_off = shift_grid(beta, gbar, 1 + xi)
@@ -509,45 +431,57 @@ def baseline_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool
             f"largest admissible beta is {baseline_max_beta(n, alpha, h)}"
         )
     if beta == 0:
-        return _zero_gap_leaf(inst.x, inst.y, alpha, cfg.delta, rs, cfg.leaf)
+        return equality_test(inst.x, inst.y, alpha, cfg.delta, rs)
+    sub_cfg = replace(cfg, h=h - 1)
     reps = reps_majority(cfg.delta)
-    votes = [_baseline_gap_rep(inst, h, cfg, rs) for _ in range(reps)]
+    votes = [_gap_to_shifted_rep(inst, baseline_shifted, sub_cfg, rs) for _ in range(reps)]
     return 2 * sum(votes) > reps
-
-
-def _baseline_gap_rep(inst: GapInstance, h: int, cfg: TesterConfig, rs: RandomStream) -> bool:
-    n, alpha, beta = inst.n, inst.alpha, inst.beta
-    total = gap_to_shifted_call_count(n, alpha, beta)
-    if total == 0:
-        return True
-    delta_leaf = 1.0 / (2 * total)
-
-    def oracle(xv, yv, a, b, g, stream):
-        sub = ShiftedInstance(xv, yv, a, b, g)
-        return baseline_shifted(sub, replace(cfg, h=h - 1, delta=delta_leaf), stream)
-
-    return gap_to_shifted(inst.x, inst.y, alpha, beta, beta, oracle, rs).yes
 
 
 def baseline_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
     """Depth-h shifted tester: offset grid plus depth-h gap calls."""
     if cfg.h is None:
         raise ParameterError("baseline_shifted needs an explicit recursion depth cfg.h")
-    n, alpha, beta, gamma, h = inst.n, inst.alpha, inst.beta, inst.gamma, cfg.h
+    n, alpha, gamma, h = inst.n, inst.alpha, inst.gamma, cfg.h
     if not baseline_shifted_gate(n, alpha, gamma, h):
         raise ParameterError(
             f"depth-{h} shifted gate rejects gamma={gamma} at n={n}, alpha={alpha}"
         )
-    total = shifted_to_gap_call_count(n, beta, gamma)
-    delta_call = cfg.delta / (2 * total)
+    return _shifted_to_gap_reduce(inst, baseline_gap, cfg, rs)
+
+
+def _gap_to_shifted_rep(
+    inst: GapInstance, shifted_tester, sub_cfg: TesterConfig, rs: RandomStream
+) -> bool:
+    """One unamplified gap->shifted pass with phi = beta.
+
+    Every block pair goes to shifted_tester under sub_cfg, at error
+    1/(2 * planned calls).
+    """
+    n, alpha, beta = inst.n, inst.alpha, inst.beta
+    total = gap_to_shifted_call_count(n, alpha, beta)
+    if total == 0:
+        return True
+    leaf_cfg = replace(sub_cfg, delta=1.0 / (2 * total))
+
+    def oracle(xv, yv, a, b, g, stream):
+        return shifted_tester(ShiftedInstance(xv, yv, a, b, g), leaf_cfg, stream)
+
+    return gap_to_shifted(inst.x, inst.y, alpha, beta, beta, oracle, rs).yes
+
+
+def _shifted_to_gap_reduce(
+    inst: ShiftedInstance, gap_tester, cfg: TesterConfig, rs: RandomStream
+) -> bool:
+    """The offset-grid reduction; every window pair goes to gap_tester at error
+    cfg.delta/(2 * grid calls)."""
+    total = shifted_to_gap_call_count(inst.n, inst.beta, inst.gamma)
+    call_cfg = replace(cfg, delta=cfg.delta / (2 * total))
 
     def oracle(xv, yv, a, b, stream):
-        if b == 0:
-            return _zero_gap_leaf(xv, yv, a, delta_call, stream, cfg.leaf)
-        sub = GapInstance(xv, yv, a, b)
-        return baseline_gap(sub, replace(cfg, h=h, delta=delta_call), stream)
+        return gap_tester(GapInstance(xv, yv, a, b), call_cfg, stream)
 
-    return shifted_to_gap(inst.x, inst.y, alpha, beta, gamma, oracle, rs).yes
+    return shifted_to_gap(inst.x, inst.y, inst.alpha, inst.beta, inst.gamma, oracle, rs).yes
 
 
 def shifted_to_gap_call_count(n: int, beta: int, gamma: int) -> int:
@@ -558,70 +492,69 @@ def shifted_to_gap_call_count(n: int, beta: int, gamma: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Main dispatch
+# Gap tier table and main dispatch
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GapTier:
+    """One depth row of the gap dispatch table."""
+
+    tier: tuple
+    gate: Callable[[int, int, int], bool]  # (n, alpha, beta) -> admitted
+    max_beta: Callable[[int, int], int]  # (n, alpha) -> largest admitted beta
+
+
+_SHALLOW_TIERS = (
+    GapTier(("equality",), lambda n, alpha, beta: beta == 0 or alpha >= n, lambda n, alpha: 0),
+    GapTier(("h1",), h1_gate, lambda n, alpha: isqrt(alpha // (336 * ceil_log2(n)))),
+    GapTier(
+        ("h2",), h2_gate, lambda n, alpha: iroot(3, alpha * alpha // (336 * ceil_log2(n)) ** 3)
+    ),
+)
+
+
+def gap_tier(h: int) -> GapTier:
+    """Row h of the gap tier table: equality, h1, h2, then the depth-h recursion."""
+    if h < len(_SHALLOW_TIERS):
+        return _SHALLOW_TIERS[h]
+    return GapTier(
+        ("recursion", h),
+        lambda n, alpha, beta: baseline_gap_gate(n, alpha, beta, h)
+        and shifted_threshold(n, alpha, beta, beta) <= beta,
+        lambda n, alpha: baseline_max_beta(n, alpha, h),
+    )
 
 
 def plan_gap_dispatch(n: int, alpha: int, beta: int, cfg: TesterConfig):
     """Pick the cheapest applicable gap tier: a pure function of the parameters.
 
-    Returns one of ("equality",), ("h1",), ("h2",), ("recursion", h),
-    ("multilevel",); raises UnsupportedRegimeError when nothing applies.
+    An explicit cfg.h looks up that one row of the tier table. Otherwise the
+    rows are walked by depth (the three shallow rows always, recursion rows
+    up to cfg.h_max), falling through to ("multilevel",). Returns the row's
+    tier tuple; raises UnsupportedRegimeError when nothing applies.
     """
     if not alpha >= beta >= 0:
         raise ParameterError("need alpha >= beta >= 0")
     if cfg.h is not None:
-        return _plan_gap_explicit(n, alpha, beta, cfg.h)
-    if beta == 0 or alpha >= n:
-        return ("equality",)
-    if h1_gate(n, alpha, beta):
-        return ("h1",)
-    if h2_gate(n, alpha, beta):
-        return ("h2",)
-    for h in range(3, cfg.h_max + 1):
-        if baseline_gap_gate(n, alpha, beta, h) and shifted_threshold(
-            n, alpha, beta, beta
-        ) <= beta:
-            return ("recursion", h)
+        row = gap_tier(cfg.h)
+        if row.gate(n, alpha, beta):
+            return row.tier
+        raise UnsupportedRegimeError(
+            f"depth-{cfg.h} gate rejects beta={beta} at n={n}, alpha={alpha}",
+            max_beta=row.max_beta(n, alpha),
+        )
+    for h in range(max(cfg.h_max, len(_SHALLOW_TIERS) - 1) + 1):
+        row = gap_tier(h)
+        if row.gate(n, alpha, beta):
+            return row.tier
     if alpha >= 10 * beta and level_plan(n, 10 * beta, alpha, ceil_log2(beta)):
         return ("multilevel",)
-    best = max(
-        alpha // 10,
-        isqrt(alpha // (336 * ceil_log2(n))),
-        iroot(3, alpha * alpha // (336 * ceil_log2(n)) ** 3),
-    )
+    best = max(alpha // 10, *(gap_tier(h).max_beta(n, alpha) for h in (1, 2)))
     raise UnsupportedRegimeError(
         f"no tier admits beta={beta} at n={n}, alpha={alpha}; "
         f"largest admissible beta is {best}",
         max_beta=best,
-    )
-
-
-def _plan_gap_explicit(n: int, alpha: int, beta: int, h: int):
-    if h == 0:
-        if beta == 0 or alpha >= n:
-            return ("equality",)
-        raise UnsupportedRegimeError(
-            f"depth 0 handles only beta=0, got beta={beta}", max_beta=0
-        )
-    if h == 1:
-        if h1_gate(n, alpha, beta):
-            return ("h1",)
-        raise UnsupportedRegimeError(
-            f"h=1 gate rejects beta={beta}",
-            max_beta=isqrt(alpha // (336 * ceil_log2(n))),
-        )
-    if h == 2:
-        if h2_gate(n, alpha, beta):
-            return ("h2",)
-        raise UnsupportedRegimeError(
-            f"h=2 gate rejects beta={beta}",
-            max_beta=iroot(3, alpha * alpha // (336 * ceil_log2(n)) ** 3),
-        )
-    if baseline_gap_gate(n, alpha, beta, h) and shifted_threshold(n, alpha, beta, beta) <= beta:
-        return ("recursion", h)
-    raise UnsupportedRegimeError(
-        f"depth-{h} gate rejects beta={beta}", max_beta=baseline_max_beta(n, alpha, h)
     )
 
 
@@ -630,15 +563,15 @@ def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
     n, alpha, beta = inst.n, inst.alpha, inst.beta
     tier = plan_gap_dispatch(n, alpha, beta, cfg)
     if tier[0] == "equality":
-        return _zero_gap_leaf(inst.x, inst.y, alpha, cfg.delta, rs, cfg.leaf)
+        return equality_test(inst.x, inst.y, alpha, cfg.delta, rs)
     if tier[0] == "h1":
         return batched_gap_h1(single(inst.x, inst.y), alpha, beta, cfg.delta, rs)[0]
     if tier[0] == "h2":
         return batched_gap_h2(single(inst.x, inst.y), alpha, beta, cfg.delta, rs)[0]
     if tier[0] == "recursion":
-        h = tier[1]
+        sub_cfg = replace(cfg, h=None, h_max=tier[1] - 1)
         reps = reps_majority(cfg.delta)
-        votes = [_main_gap_rep(inst, h, cfg, rs) for _ in range(reps)]
+        votes = [_gap_to_shifted_rep(inst, main_shifted, sub_cfg, rs) for _ in range(reps)]
         return 2 * sum(votes) > reps
     assert tier[0] == "multilevel"
     reps = reps_any(cfg.delta)
@@ -649,20 +582,6 @@ def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
         for _ in range(reps)
     ]
     return all(results)
-
-
-def _main_gap_rep(inst: GapInstance, h: int, cfg: TesterConfig, rs: RandomStream) -> bool:
-    n, alpha, beta = inst.n, inst.alpha, inst.beta
-    total = gap_to_shifted_call_count(n, alpha, beta)
-    if total == 0:
-        return True
-    delta_leaf = 1.0 / (2 * total)
-    sub_cfg = replace(cfg, h=None, h_max=h - 1, delta=delta_leaf)
-
-    def oracle(xv, yv, a, b, g, stream):
-        return main_shifted(ShiftedInstance(xv, yv, a, b, g), sub_cfg, stream)
-
-    return gap_to_shifted(inst.x, inst.y, alpha, beta, beta, oracle, rs).yes
 
 
 def plan_shifted_dispatch(n: int, alpha: int, beta: int, gamma: int, cfg: TesterConfig):
@@ -696,14 +615,7 @@ def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> 
     if tier[0] == "s3":
         return _shifted_s3(inst, cfg, rs)
     assert tier[0] == "reduce"
-    total = shifted_to_gap_call_count(n, beta, gamma)
-    delta_call = cfg.delta / (2 * total)
-    sub_cfg = replace(cfg, h=None, delta=delta_call)
-
-    def oracle(xv, yv, a, b, stream):
-        return main_gap(GapInstance(xv, yv, a, b), sub_cfg, stream)
-
-    return shifted_to_gap(inst.x, inst.y, alpha, beta, gamma, oracle, rs).yes
+    return _shifted_to_gap_reduce(inst, main_gap, replace(cfg, h=None), rs)
 
 
 def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
@@ -711,7 +623,7 @@ def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> b
     leaves served by the h=2 gap tester on per-offset batches."""
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
     if n <= beta:
-        return _shifted_exact_fallback(inst.x, inst.y, beta, gamma)
+        return exact_shifted_oracle(inst.x, inst.y, alpha, beta, gamma, rs)
     assert h2_gate(n, alpha, 3 * gamma), "s3 gate implies the h=2 gap gate for 3*gamma"
     xi = max(gamma, min(beta, isqrt(gamma * gamma * beta)))
     xs, ys_off = shift_grid(beta, gamma, 1 + xi)

@@ -1,11 +1,9 @@
-"""Tester stack: equality sampler, trie, batched paths, baselines, dispatch."""
+"""Tester stack: equality sampler, batched paths, baselines, dispatch."""
 
 import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gapedit.intmath import ceil_log2
 from gapedit.metering import MeteredString, RandomStream
@@ -18,10 +16,9 @@ from gapedit.reductions import (
 from gapedit.strings import GapInstance, ShiftedInstance, as_view, ed_solve_gap
 from gapedit.testers import (
     Batch,
-    FingerprintTrie,
     TesterConfig,
     UnsupportedRegimeError,
-    _main_gap_rep,
+    _gap_to_shifted_rep,
     baseline_gap,
     baseline_gap_gate,
     baseline_max_beta,
@@ -91,35 +88,6 @@ def test_equality_planted_hamming_rate():
         if equality_test(as_view(x), as_view(y), alpha, 1 / 3, RandomStream(t)):
             wrong += 1
     assert 1 - wrong / trials >= 0.60
-
-
-# ---------------------------------------------------------------------------
-# Fingerprint trie
-# ---------------------------------------------------------------------------
-
-
-def test_trie_exhaustive_against_set():
-    rng = random.Random(7)
-    keys = set()
-    trie = FingerprintTrie()
-    for _ in range(200):
-        key = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 64)))
-        keys.add(key)
-        trie.insert(key)
-    assert trie.size == len(keys)
-    for key in keys:
-        assert key in trie
-    for _ in range(500):
-        probe = tuple(rng.randrange(4) for _ in range(rng.randrange(0, 64)))
-        assert (probe in trie) == (probe in keys)
-
-
-@given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))), st.tuples(st.integers(0, 3), st.integers(0, 3)))
-def test_trie_matches_set(keys, probe):
-    trie = FingerprintTrie()
-    for key in keys:
-        trie.insert(key)
-    assert (probe in trie) == (probe in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +512,12 @@ def test_main_gap_recursion_plumbing():
     n = 4096
     x = rand_sym(16, n, 1 << 30)
     inst = GapInstance(as_view(x), as_view(list(x)), 4096, 1)
-    cfg = TesterConfig(delta=0.3)
-    assert _main_gap_rep(inst, 3, cfg, RandomStream(2))
+    # one depth-3 repetition: main_shifted leaves with recursion depth <= 2
+    cfg = TesterConfig(delta=0.3, h_max=2)
+    assert _gap_to_shifted_rep(inst, main_shifted, cfg, RandomStream(2))
     x2, y2 = disjoint(90, n, 1 << 30)
     inst = GapInstance(as_view(x2), as_view(y2), 4050, 1)
-    assert not _main_gap_rep(inst, 3, cfg, RandomStream(2))
+    assert not _gap_to_shifted_rep(inst, main_shifted, cfg, RandomStream(2))
 
 
 def test_recursion_tier_selection_arithmetic():
@@ -648,14 +617,3 @@ def test_config_validation():
         TesterConfig(delta=0.0)
     with pytest.raises(ValueError):
         TesterConfig(h=9)
-    with pytest.raises(ValueError):
-        TesterConfig(leaf="banded")
-
-
-def test_main_gap_exact_leaf_option():
-    n = 2048
-    x = rand_sym(19, n)
-    xm, ym = MeteredString(x), MeteredString(list(x))
-    cfg = TesterConfig(delta=0.2, leaf="exact")
-    assert main_gap(GapInstance(xm.view(), ym.view(), n, 0), cfg, RandomStream(1))
-    assert xm.count == n  # exact leaf reads everything once
