@@ -2,8 +2,9 @@
 
 A tester is non-adaptive when the positions it reads depend only on
 (n, parameters, seed) and never on previously read characters. The
-certifier replays a tester on several random contents under one seed and
-compares the logged access sequences.
+certifier replays a tester on several contents under one seed and compares
+the logged access sequences. The contents differ in how often x[i] == y[i],
+so a tester that branches on symbol equality takes different paths on them.
 """
 
 from __future__ import annotations
@@ -205,6 +206,42 @@ class CertificationResult:
 Tester = Callable[[MeteredString, MeteredString, RandomStream], object]
 
 
+def _uniform_pair(rs: RandomStream, n: int, alphabet: int):
+    return rs.child("x").symbols(n, alphabet), rs.child("y").symbols(n, alphabet)
+
+
+def _equal_pair(rs: RandomStream, n: int, alphabet: int):
+    x = rs.child("x").symbols(n, alphabet)
+    return x, list(x)
+
+
+def _binary_pair(rs: RandomStream, n: int, alphabet: int):
+    return _uniform_pair(rs, n, 2)
+
+
+def _planted_pair(rs: RandomStream, n: int, alphabet: int):
+    """x and a copy with a few substitutions."""
+    x = rs.child("x").symbols(n, alphabet)
+    y = list(x)
+    edits = rs.child("edits")
+    for _ in range(min(n, 3)):
+        i = edits.uniform_index(n)
+        y[i] = (y[i] + 1) % max(alphabet, 2)
+    return x, y
+
+
+def _rotated_pair(rs: RandomStream, n: int, alphabet: int):
+    x = rs.child("x").symbols(n, alphabet)
+    s = max(1, n // 16)
+    return x, x[n - s :] + x[: n - s]
+
+
+# Content pair t is _CONTENTS[t % len(_CONTENTS)]. Over a large alphabet the
+# pairs differ at almost every position, at none, at about half (binary), at
+# a few, and at almost every position again but equal after a shift.
+_CONTENTS = (_uniform_pair, _equal_pair, _binary_pair, _planted_pair, _rotated_pair)
+
+
 def certify_non_adaptive(
     tester: Tester,
     n: int,
@@ -212,18 +249,21 @@ def certify_non_adaptive(
     trials: int = 5,
     alphabet: int = 1 << 30,
 ) -> CertificationResult:
-    """Replay `tester` under one seed on `trials` random contents of length n.
+    """Replay `tester` under one seed on `trials` content pairs of length n.
 
-    PASS iff the logged access-position sequences are identical across all
-    contents; FAIL returns the first divergent pair of logs.
+    The pairs cycle through uniform symbols over `alphabet`, y = x, a binary
+    alphabet, a few planted substitutions and a rotation. PASS iff the logged
+    access-position sequences are identical across all contents; FAIL
+    returns the first divergent pair of logs.
     """
     if trials < 2:
         raise ValueError("certification needs at least 2 content trials")
     reference: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for t in range(trials):
         crs = RandomStream(seed).child(f"content-{t}")
-        xm = MeteredString(crs.child("x").symbols(n, alphabet), log=True)
-        ym = MeteredString(crs.child("y").symbols(n, alphabet), log=True)
+        x, y = _CONTENTS[t % len(_CONTENTS)](crs, n, alphabet)
+        xm = MeteredString(x, log=True)
+        ym = MeteredString(y, log=True)
         tester(xm, ym, RandomStream(seed))
         logs = (tuple(xm.log), tuple(ym.log))
         if reference is None:

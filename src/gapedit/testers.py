@@ -126,7 +126,7 @@ def batched_equality(batch: Batch, alpha: int, delta: float, rs: RandomStream) -
     n = len(batch.x)
     _tally(batch.q)
     if alpha >= n:
-        return [True] * batch.q
+        return [True] * batch.q  # ED <= n <= alpha: the NO promise is vacuous
     dp = min(delta, 1 / 3)
     m = min(n, int(-(-(n / (1 + alpha)) * log(1 / dp) // 1)))
     positions = [rs.uniform_index(n) for _ in range(m)]
@@ -544,7 +544,7 @@ def plan_gap_dispatch(n: int, alpha: int, beta: int, cfg: TesterConfig):
             f"depth-{cfg.h} gate rejects beta={beta} at n={n}, alpha={alpha}",
             max_beta=row.max_beta(n, alpha),
         )
-    for h in range(max(cfg.h_max, len(_SHALLOW_TIERS) - 1) + 1):
+    for h in range(max(cfg.h_max, 2) + 1):
         row = gap_tier(h)
         if row.gate(n, alpha, beta):
             return row.tier

@@ -284,6 +284,25 @@ def test_parse_config_rejects_unknown_tester():
         parse_config_text("just a line")
 
 
+@pytest.mark.parametrize(
+    "text, line, words",
+    [
+        ("n = 1024\ntrails = 500", 2, "unknown key 'trails'"),
+        ("delta = 0.1, 0.2", 1, "'delta' takes one value, got 2"),
+        ("k = 4\n\nh = 1, 2", 3, "'h' takes one value, got 2"),
+        ("seed =", 1, "'seed' takes one value, got 0"),
+        ("leaf = exact", 1, "unknown key 'leaf'"),
+        ("n = 1024\nn = 2048", 2, "'n' is set twice"),
+        ("trials = ten", 1, "invalid literal"),
+    ],
+)
+def test_parse_config_rejects_bad_lines(text, line, words):
+    with pytest.raises(ValueError) as exc:
+        parse_config_text(text)
+    assert str(exc.value).startswith(f"config line {line}: ")
+    assert words in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -150,6 +150,35 @@ def test_certify_fails_adaptive_probe():
     assert result.witness is not None
 
 
+def _early_exit_tester(xm, ym, rs):
+    # stops at the first mismatch: on contents where every x[i] != y[i] it
+    # always reads the same two positions, so only equal content exposes it
+    for i in range(len(xm)):
+        if xm.read(i) != ym.read(i):
+            return False
+    return True
+
+
+def test_certify_fails_early_exit_tester():
+    result = certify_non_adaptive(_early_exit_tester, 1024, seed=404, trials=5)
+    assert not result.passed
+    t, ref, got = result.witness
+    assert len(got[0]) != len(ref[0])
+
+
+def test_certify_contents_split_symbol_equality():
+    # the replayed contents must include y = x and a binary-alphabet pair
+    seen = []
+
+    def record(xm, ym, rs):
+        x, y = xm.raw(), ym.raw()
+        seen.append((sum(a == b for a, b in zip(x, y)), max(x + y)))
+
+    assert certify_non_adaptive(record, 256, seed=5, trials=5).passed
+    assert any(same == 256 for same, _ in seen)
+    assert any(top <= 1 and 0 < same < 256 for same, top in seen)
+
+
 def test_certify_requires_multiple_contents():
     with pytest.raises(ValueError):
         certify_non_adaptive(_sampling_tester, 8, seed=1, trials=1)
