@@ -11,8 +11,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 Symbol = int
 
 YES = "YES"
@@ -169,59 +167,53 @@ class ShiftedInstance:
 
 
 # ---------------------------------------------------------------------------
-# Exact edit distance (textbook dynamic program)
+# Exact edit distance (bit-parallel, Myers 1999 / Hyyro 2003)
 # ---------------------------------------------------------------------------
-
-_NUMPY_CUTOFF = 4096  # below this many cells the plain loop wins
-
-
-def _ed_rows_py(x: Sequence[int], y: Sequence[int]) -> int:
-    n, m = len(x), len(y)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        xi = x[i - 1]
-        cur = [i] + [0] * m
-        left = i
-        prow = prev
-        for j in range(1, m + 1):
-            c = prow[j - 1] if xi == y[j - 1] else prow[j - 1] + 1
-            up = prow[j] + 1
-            if up < c:
-                c = up
-            left += 1
-            if left < c:
-                c = left
-            cur[j] = c
-            left = c
-        prev = cur
-    return prev[m]
-
-
-def _ed_rows_np(x: Sequence[int], y: Sequence[int]) -> int:
-    ya = np.asarray(y, dtype=np.int64)
-    m = len(ya)
-    prev = np.arange(m + 1, dtype=np.int64)
-    idx = np.arange(m + 1, dtype=np.int64)
-    w = np.empty(m + 1, dtype=np.int64)
-    for i, xi in enumerate(x, start=1):
-        t = np.minimum(prev[1:] + 1, prev[:-1] + (ya != xi))
-        w[0] = i
-        np.subtract(t, idx[1:], out=w[1:])
-        prev = np.minimum.accumulate(w) + idx
-    return int(prev[m])
 
 
 def ed_exact(x, y) -> int:
-    """Minimum number of insertions, deletions, and substitutions turning x into y."""
+    """Minimum number of insertions, deletions, and substitutions turning x into y.
+
+    Myers' bit-vector algorithm in Hyyro's global-distance form, on Python
+    ints: the shorter string is the pattern, and bit i of the vertical
+    deltas ``pv``/``mv`` holds whether D[i+1][j] - D[i][j] is +1/-1 in the
+    current column j. Each symbol of the longer string updates one column
+    with a constant number of big-int operations under an m-bit mask, and
+    the score follows the bottom row D[m][j]. ``peq`` maps each pattern
+    symbol to its position mask, so any int alphabet works; symbols absent
+    from the pattern match nothing. Time O(n * ceil(m / w)) for w-bit
+    big-int digits.
+    """
     x = _coerce(x)
     y = _coerce(y)
-    if len(x) == 0:
-        return len(y)
-    if len(y) == 0:
+    if len(x) < len(y):
+        x, y = y, x
+    m = len(y)
+    if m == 0:
         return len(x)
-    if len(x) * len(y) < _NUMPY_CUTOFF:
-        return _ed_rows_py(x, y)
-    return _ed_rows_np(x, y)
+    peq: dict[int, int] = {}
+    bit = 1
+    for c in y:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    pv, mv, score = mask, 0, m
+    get = peq.get
+    for c in x:
+        eq = get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)  # a carry into bit m of xh is masked off below
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ph << 1 | 1  # row 0 is D[0][j] = j: every horizontal delta there is +1
+        pv = (mh << 1 | (xv | ph) ^ mask) & mask
+        mv = ph & xv
+    return score
 
 
 def ed_lower_bound(x, y) -> int:

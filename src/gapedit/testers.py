@@ -389,35 +389,34 @@ def batched_gap_h2(
 
 
 def baseline_gap_gate(n: int, alpha: int, beta: int, h: int) -> bool:
-    """beta < (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1)), in exact integers."""
+    """beta <= (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1)), in exact integers.
+
+    Inclusive like h1_gate and h2_gate, which it equals at h = 1 and h = 2.
+    """
     if h == 0:
         return beta < 1
     lhs = beta ** (2 * (h + 1)) * (336 * ceil_log2(n)) ** (h * (h + 1))
-    return lhs < alpha ** (2 * h)
+    return lhs <= alpha ** (2 * h)
 
 
 def baseline_shifted_gate(n: int, alpha: int, gamma: int, h: int) -> bool:
-    """gamma < (1/3) (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1))."""
+    """gamma <= (1/3) (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1)).
+
+    Inclusive like h1_shifted_gate, which it equals at h = 1.
+    """
     if h == 0:
         return gamma == 0
     lhs = (3 * gamma) ** (2 * (h + 1)) * (336 * ceil_log2(n)) ** (h * (h + 1))
-    return lhs < alpha ** (2 * h)
+    return lhs <= alpha ** (2 * h)
 
 
 def baseline_max_beta(n: int, alpha: int, h: int) -> int:
     """Largest beta admitted by the depth-h gap gate at (n, alpha)."""
     if h == 0:
         return 0
+    # the gate is b^(2(h+1)) * denom <= alpha^(2h), i.e. b^(2(h+1)) <= alpha^(2h) // denom
     denom = (336 * ceil_log2(n)) ** (h * (h + 1))
-    target = alpha ** (2 * h)
-    if denom >= target:
-        return 0
-    b = iroot(2 * (h + 1), (target - 1) // denom)
-    while not baseline_gap_gate(n, alpha, b, h) and b > 0:
-        b -= 1
-    while baseline_gap_gate(n, alpha, b + 1, h):
-        b += 1
-    return b
+    return iroot(2 * (h + 1), alpha ** (2 * h) // denom)
 
 
 def baseline_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:

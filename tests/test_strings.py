@@ -23,8 +23,6 @@ from gapedit.strings import (
     gap_ed_banded,
     shifted_ed_exact,
     symbols,
-    _ed_rows_np,
-    _ed_rows_py,
 )
 
 
@@ -72,12 +70,75 @@ def test_ed_triangle(x, y, z):
     assert ed_exact(x, z) <= ed_exact(x, y) + ed_exact(y, z)
 
 
-def test_numpy_and_py_rows_agree():
+def row_dp(x, y):
+    """Independent reference: the textbook O(|x| |y|) row dynamic program."""
+    n, m = len(x), len(y)
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        xi = x[i - 1]
+        cur = [i] + [0] * m
+        left = i
+        for j in range(1, m + 1):
+            c = prev[j - 1] if xi == y[j - 1] else prev[j - 1] + 1
+            up = prev[j] + 1
+            if up < c:
+                c = up
+            left += 1
+            if left < c:
+                c = left
+            cur[j] = c
+            left = c
+        prev = cur
+    return prev[m]
+
+
+def edited(rng, x, edits, alphabet):
+    """x with `edits` random substitutions, insertions and deletions."""
+    y = list(x)
+    for _ in range(edits):
+        op = rng.randrange(3)
+        if op == 0 and y:
+            y[rng.randrange(len(y))] = rng.randrange(alphabet)
+        elif op == 1:
+            y.insert(rng.randrange(len(y) + 1), rng.randrange(alphabet))
+        elif y:
+            del y[rng.randrange(len(y))]
+    return y
+
+
+# lengths at and around the 30-bit digit and the 64- and 128-bit word edges
+EDGE_LENGTHS = (0, 1, 2, 29, 30, 31, 63, 64, 65, 127, 128, 129, 200)
+
+
+def test_ed_exact_matches_row_dp():
     rng = random.Random(11)
-    for _ in range(200):
-        x = [rng.randrange(4) for _ in range(rng.randrange(1, 40))]
-        y = [rng.randrange(4) for _ in range(rng.randrange(1, 40))]
-        assert _ed_rows_py(x, y) == _ed_rows_np(x, y)
+    for alphabet in (2, 4, 1 << 32):
+        for lx in EDGE_LENGTHS:
+            x = [rng.randrange(alphabet) for _ in range(lx)]
+            ly = rng.randrange(0, 201)
+            partners = (
+                edited(rng, x, rng.randrange(1, 12), alphabet),  # near x, often lx != ly
+                [rng.randrange(alphabet) for _ in range(lx)],  # equal length, unrelated
+                [rng.randrange(alphabet) for _ in range(ly)],  # unequal length, unrelated
+                [alphabet + rng.randrange(4) for _ in range(ly)],  # no symbol shared with x
+            )
+            for y in partners:
+                assert ed_exact(x, y) == row_dp(x, y), (alphabet, lx, len(y))
+                assert ed_exact(y, x) == ed_exact(x, y)
+            assert ed_exact(x, partners[-1]) == max(lx, ly)
+        for _ in range(15):
+            x = [rng.randrange(alphabet) for _ in range(rng.randrange(0, 201))]
+            y = [rng.randrange(alphabet) for _ in range(rng.randrange(0, 201))]
+            assert ed_exact(x, y) == row_dp(x, y)
+
+
+def test_ed_exact_planted_edits_n1024():
+    rng = random.Random(13)
+    x = [rng.randrange(4) for _ in range(1024)]
+    y = edited(rng, x, 40, 4)
+    d = ed_exact(x, y)
+    assert d == row_dp(x, y)
+    assert 0 < d <= 40
 
 
 def test_gap_banded_examples():

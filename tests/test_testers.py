@@ -23,14 +23,17 @@ from gapedit.testers import (
     baseline_gap_gate,
     baseline_max_beta,
     baseline_shifted,
+    baseline_shifted_gate,
     batched_equality,
     batched_gap_h1,
     batched_gap_h2,
     batched_shifted_h0,
     batched_shifted_h1,
     equality_test,
+    gap_tier,
     h0_spread,
     h1_gate,
+    h1_shifted_gate,
     h1_shifted_params,
     h2_gate,
     h2_phi,
@@ -365,6 +368,40 @@ def test_baseline_gate_diagnostic_example():
     with pytest.raises(ParameterError, match="largest admissible beta is 1"):
         x = as_view([0] * (1 << 16))
         baseline_gap(GapInstance(x, x, 1 << 13, 2), TesterConfig(h=1), RandomStream(1))
+
+
+def test_baseline_gate_admits_the_h1_boundary():
+    # n=2^16: 336 ceil(log2 n) = 5376, so alpha = 4 * 5376 puts beta = 2 on the h=1 boundary
+    n, alpha, beta = 1 << 16, 21504, 2
+    assert plan_gap_dispatch(n, alpha, beta, TesterConfig(h=1)) == ("h1",)
+    assert baseline_gap_gate(n, alpha, beta, 1)
+    assert baseline_max_beta(n, alpha, 1) == 2
+    x = rand_sym(21, n, 1 << 30)
+    y = list(x)
+    y[n // 3] ^= 1
+    assert baseline_gap(
+        GapInstance(as_view(x), as_view(y), alpha, beta), TesterConfig(h=1), RandomStream(1)
+    )
+    c = 336 * 16
+    assert baseline_gap_gate(n, c**3, c, 2) and baseline_max_beta(n, c**3, 2) == c
+    assert baseline_shifted_gate(n, 4 * 3024 * 16, 2, 1)
+
+
+def test_baseline_gates_equal_tier_gates():
+    for n in (1 << 10, 1 << 16, 1 << 20):
+        c = 336 * ceil_log2(n)
+        for beta in range(0, 7):
+            for edge in (beta * beta * c, math.isqrt(beta**3 * c**3), 9 * beta * beta * c):
+                for alpha in (edge - 1, edge, edge + 1):
+                    if alpha < beta:
+                        continue
+                    for h in (1, 2):
+                        assert baseline_gap_gate(n, alpha, beta, h) == gap_tier(h).gate(
+                            n, alpha, beta
+                        ), (n, alpha, beta, h)
+                    assert baseline_shifted_gate(n, alpha, beta, 1) == h1_shifted_gate(
+                        n, alpha, beta
+                    ), (n, alpha, beta)
 
 
 def test_baseline_beta_zero_matches_equality_plan():
