@@ -31,6 +31,7 @@ from .metering import (
     certify_non_adaptive,
 )
 from .reductions import (
+    Batch,
     BlockGrid,
     KeyLemmaReport,
     ParameterError,
@@ -41,15 +42,16 @@ from .reductions import (
     key_lemma_check,
     multilevel_reduce,
     oracle_call_tally,
+    per_member,
     shift_grid,
     shift_grid_spread,
     shifted_threshold,
     shifted_to_gap,
+    single,
     single_level_plan,
     single_level_reduce,
 )
 from .testers import (
-    Batch,
     TesterConfig,
     UnsupportedRegimeError,
     baseline_gap,

@@ -46,9 +46,11 @@ def iroot(k: int, n: int) -> int:
         raise ValueError("iroot needs n >= 0, k >= 1")
     if n == 0:
         return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    # Newton's method from 2^ceil(bits/k) >= n^(1/k): integers only, so no
+    # float overflow however large n is; it decreases to the floor root
+    r = 1 << ceil_div(n.bit_length(), k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s

@@ -2,10 +2,24 @@
 
 All reductions plan their oracle calls up front (level-major, iteration-minor)
 and execute every planned call: there is no short-circuiting, so the access
-pattern is a pure function of (n, parameters, seed). Oracle protocols:
+pattern is a pure function of (n, parameters, seed).
+
+The one-pair block reductions (single-level, multi-level) take a pair oracle:
 
 - gap oracle:     fn(xv, yv, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, rs) -> bool
+
+The two reductions of the mutual recursion work on a `Batch` (q instances
+sharing one first string), return one outcome per member and take batch
+oracles, which answer one bool per member of the sub-batch they are given:
+
+- gap_to_shifted's oracle: fn(sub, phi, beta, psi, rs) -> list[bool], where
+  sub is the same block window of the common string and every member;
+- shifted_to_gap's oracle: fn(sub, alpha, 3*gamma, rs) -> list[bool], one
+  call per x offset, where sub holds every (member, y offset) window,
+  member-major.
+
+`per_member` lifts a pair oracle to the batch protocol.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ class ParameterError(ValueError):
 
 
 GapOracle = Callable[[View, View, int, int, RandomStream], bool]
-ShiftedOracle = Callable[[View, View, int, int, int, RandomStream], bool]
+BatchOracle = Callable[..., list[bool]]  # see the module docstring
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +107,38 @@ class ReductionOutcome:
     no_count: int
     call_count: int
 
+
+@dataclass(frozen=True)
+class Batch:
+    """q gap/shifted instances sharing one common first string."""
+
+    x: View
+    ys: tuple[View, ...]
+
+    def __post_init__(self):
+        if len(self.ys) < 1:
+            raise ValueError("a batch needs at least one instance")
+        for y in self.ys:
+            if len(y) != len(self.x):
+                raise ParameterError("every batch member must match the common string's length")
+        object.__setattr__(self, "ys", tuple(self.ys))
+
     @property
-    def verdict(self) -> str:
-        return "YES" if self.yes else "NO"
+    def q(self) -> int:
+        return len(self.ys)
+
+    def sub(self, start: int, length: int) -> "Batch":
+        """The window [start, start+length) of the common string and of every member."""
+        return Batch(self.x.sub(start, length), tuple(y.sub(start, length) for y in self.ys))
+
+
+def single(xv: View, yv: View) -> Batch:
+    return Batch(xv, (yv,))
+
+
+def per_member(oracle: Callable[..., bool]) -> BatchOracle:
+    """Lift a pair oracle to the batch protocol: one call per member, in order."""
+    return lambda sub, *args: [oracle(sub.x, y, *args) for y in sub.ys]
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +360,22 @@ def shifted_threshold(n: int, alpha: int, beta: int, phi: int) -> int:
 
 
 def gap_to_shifted(
-    xv: View,
-    yv: View,
+    batch: Batch,
     alpha: int,
     beta: int,
     phi: int,
-    oracle: ShiftedOracle,
+    oracle: BatchOracle,
     rs: RandomStream,
-) -> ReductionOutcome:
-    """Reduce a gap instance to shifted-gap oracle calls on block pairs.
+) -> list[ReductionOutcome]:
+    """Reduce each gap instance of a batch to shifted-gap oracle calls on block pairs.
 
     Requires phi >= beta >= psi where psi = floor(112*beta*phi*ceil(log2 n)/alpha).
     Samples levels ceil(log2(3*phi)) .. floor(log2(rho*n)) at rate
-    rho = 84*phi/alpha and answers YES iff at most 5 calls said NO. With a
-    correct oracle both error directions are at most 1/e.
+    rho = 84*phi/alpha, drawing every block before the first oracle call; the
+    blocks are shared by the batch, and a member is YES iff at most 5 of its
+    calls said NO. With a correct oracle both error directions are at most 1/e.
     """
-    n = len(xv)
-    if len(yv) != n:
-        raise ParameterError("input strings must have equal length")
+    n = len(batch.x)
     if phi < 1 or phi < beta or beta < 0:
         raise ParameterError(f"need phi >= beta >= 0, phi >= 1; got phi={phi} beta={beta}")
     psi = shifted_threshold(n, alpha, beta, phi)
@@ -346,11 +387,11 @@ def gap_to_shifted(
         )
     levels = level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi))
     plan = _draw_blocks(n, levels, rs)
-    no_count = 0
+    no_counts = [0] * batch.q
     for start, length, _ in plan:
-        if not oracle(xv.sub(start, length), yv.sub(start, length), phi, beta, psi, rs):
-            no_count += 1
-    return ReductionOutcome(no_count <= 5, no_count, len(plan))
+        for j, yes in enumerate(oracle(batch.sub(start, length), phi, beta, psi, rs)):
+            no_counts[j] += not yes
+    return [ReductionOutcome(c <= 5, c, len(plan)) for c in no_counts]
 
 
 def gap_to_shifted_call_count(n: int, alpha: int, phi: int) -> int:
@@ -376,44 +417,39 @@ def shift_grid(beta: int, gamma: int, spread: int) -> tuple[list[int], list[int]
     cover [0..spread-1] and [beta-spread+1..beta] in residues {0, beta}
     mod (1+gamma).
     """
-    xi = spread - 1
-    xs = sorted(
-        {x for x in range(0, beta + 1) if x % spread == 0 or x % spread == beta % spread}
-    )
-    g1 = 1 + gamma
-    ys = sorted(
-        {y for y in range(0, xi + 1) if y % g1 == 0}
-        | {y for y in range(max(0, beta - xi), beta + 1) if y % g1 == beta % g1}
-    )
+    xi, g1 = spread - 1, 1 + gamma
+    xs = sorted({*range(0, beta + 1, spread), *range(beta, -1, -spread)})
+    ys = sorted({*range(0, xi + 1, g1), *range(beta, max(0, beta - xi) - 1, -g1)})
     return xs, ys
 
 
 def shifted_to_gap(
-    xv: View,
-    yv: View,
+    batch: Batch,
     alpha: int,
     beta: int,
     gamma: int,
-    oracle: GapOracle,
+    spread: int,
+    oracle: BatchOracle,
     rs: RandomStream,
-) -> ReductionOutcome:
-    """Deterministic reduction from a shifted-gap instance to gap oracle calls.
+) -> list[ReductionOutcome]:
+    """Deterministic reduction from shifted-gap instances to gap oracle calls.
 
-    Requires alpha >= 3*gamma. Enumerates the offset grid and calls the
-    gap oracle with thresholds (alpha, 3*gamma) on length n-beta windows;
-    YES iff any call answers YES. Exact given a correct oracle.
+    Requires alpha >= 3*gamma and 1+gamma <= spread <= 1+beta. Enumerates
+    shift_grid(beta, gamma, spread) and calls the gap oracle with thresholds
+    (alpha, 3*gamma) on length n-beta windows, one call per x offset; a
+    member is YES iff any of its windows answers YES. Exact given a correct
+    oracle. When n <= beta every member is decided by exact_shifted_oracle.
     """
-    n = len(xv)
-    if len(yv) != n:
-        raise ParameterError("input strings must have equal length")
+    n = len(batch.x)
     if alpha < 3 * gamma:
         raise ParameterError(f"need alpha >= 3*gamma, got alpha={alpha} gamma={gamma}")
     if not (alpha >= beta >= gamma >= 0):
         raise ParameterError("need alpha >= beta >= gamma >= 0")
+    if not 1 + gamma <= spread <= 1 + beta:
+        raise ParameterError(f"need 1+gamma <= spread <= 1+beta, got spread={spread}")
     if n <= beta:  # degenerate: read everything and decide exactly
-        yes = exact_shifted_oracle(xv, yv, alpha, beta, gamma, rs)
-        return ReductionOutcome(yes, 0 if yes else 1, 1)
-    spread = shift_grid_spread(beta, gamma)
+        yes = [exact_shifted_oracle(batch.x, y, alpha, beta, gamma, rs) for y in batch.ys]
+        return [ReductionOutcome(v, int(not v), 1) for v in yes]
     xs, ys = shift_grid(beta, gamma, spread)
     n_calls = len(xs) * len(ys)
     assert n_calls * (1 + gamma) <= 16 * (1 + beta), "call-count bound violated"
@@ -421,9 +457,13 @@ def shifted_to_gap(
         spread, 1 + gamma
     ), "distinct-substring bound violated"
     n_prime = n - beta
-    answers = [
-        oracle(xv.sub(x_off, n_prime), yv.sub(y_off, n_prime), alpha, 3 * gamma, rs)
-        for x_off in xs
-        for y_off in ys
-    ]
-    return ReductionOutcome(any(answers), answers.count(False), len(answers))
+    yes_counts = [0] * batch.q
+    for x_off in xs:
+        windows = Batch(
+            batch.x.sub(x_off, n_prime),
+            tuple(y.sub(y_off, n_prime) for y in batch.ys for y_off in ys),
+        )
+        answers = oracle(windows, alpha, 3 * gamma, rs)
+        for j in range(batch.q):
+            yes_counts[j] += sum(answers[j * len(ys) : (j + 1) * len(ys)])
+    return [ReductionOutcome(c > 0, n_calls - c, n_calls) for c in yes_counts]

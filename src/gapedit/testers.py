@@ -13,6 +13,15 @@ The stack, bottom to top:
   multilevel tier for moderate gaps and an UNSUPPORTED-REGIME error (never
   a crash) when nothing applies.
 
+Every tier of the mutual recursion runs the two batch reductions of
+``reductions`` through one path per direction. ``_batched_gap_via_shifted``
+is the one gap->shifted pass (leaf error 1/(2 * planned calls)), which h1,
+h2, the baseline and main's recursion tier amplify with ``_majority_votes``;
+``_batched_shifted_via_gap`` is the one shifted->gap pass (per-call error
+delta/(2 * grid calls)), which the h=1 and h=2 shifted paths, the baseline
+and main's reduce tier call with their own grid spread. The one-instance
+testers join a batch through ``_each``, member by member.
+
 Testers never short-circuit across planned oracle calls or repetitions, so
 their read sequences depend only on (n, parameters, seed).
 """
@@ -23,9 +32,10 @@ from dataclasses import dataclass, replace
 from math import exp, isqrt, log
 from typing import Callable, Optional
 
-from .intmath import ceil_div, ceil_log2, iroot
+from .intmath import ceil_div, ceil_log2, iroot, isqrt_ceil
 from .metering import RandomStream
 from .reductions import (
+    Batch,
     ParameterError,
     _tally,
     exact_gap_oracle,
@@ -34,10 +44,12 @@ from .reductions import (
     gap_to_shifted_call_count,
     level_plan,
     multilevel_reduce,
+    per_member,
     shift_grid,
     shift_grid_spread,
     shifted_threshold,
     shifted_to_gap,
+    single,
 )
 from .strings import GapInstance, ShiftedInstance, View
 
@@ -87,35 +99,6 @@ def reps_any(delta: float) -> int:
     return max(1, int(-(-log(1 / delta) // 1)))
 
 
-# ---------------------------------------------------------------------------
-# Batches
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Batch:
-    """q gap/shifted instances sharing one common first string."""
-
-    x: View
-    ys: tuple[View, ...]
-
-    def __post_init__(self):
-        if len(self.ys) < 1:
-            raise ValueError("a batch needs at least one instance")
-        for y in self.ys:
-            if len(y) != len(self.x):
-                raise ValueError("every batch member must match the common string's length")
-        object.__setattr__(self, "ys", tuple(self.ys))
-
-    @property
-    def q(self) -> int:
-        return len(self.ys)
-
-
-def single(xv: View, yv: View) -> Batch:
-    return Batch(xv, (yv,))
-
-
 def batched_equality(batch: Batch, alpha: int, delta: float, rs: RandomStream) -> list[bool]:
     """Zero-gap tests against one common string, sharing a single sample.
 
@@ -150,10 +133,7 @@ def equality_test(xv: View, yv: View, alpha: int, delta: float, rs: RandomStream
 
 def h0_spread(q: int, beta: int) -> int:
     """Offset spread 1+xi = ceil(sqrt(q+beta)/sqrt(q)), clamped to [1, 1+beta]."""
-    t = 1
-    while t * t * q < q + beta:
-        t += 1
-    return min(t, 1 + beta)
+    return min(isqrt_ceil(ceil_div(q + beta, q)), 1 + beta)
 
 
 def batched_shifted_h0(
@@ -200,6 +180,7 @@ def h1_gate(n: int, alpha: int, beta: int) -> bool:
 
 
 ShiftedBatchFn = Callable[[Batch, int, int, int, float, RandomStream], list[bool]]
+GapBatchFn = Callable[[Batch, int, int, float, RandomStream], list[bool]]
 
 
 def _batched_gap_via_shifted(
@@ -212,44 +193,69 @@ def _batched_gap_via_shifted(
 ) -> list[bool]:
     """One unamplified pass of the gap->shifted reduction over a whole batch.
 
-    The random block choices are shared across the batch, so sub-calls stay
-    batched; per-instance NO counts decide each verdict.
+    Every sampled block pair goes to shifted_fn at error 1/(2 * planned
+    calls); the block choices are shared across the batch, so sub-calls stay
+    batched.
     """
-    n = len(batch.x)
-    psi = shifted_threshold(n, alpha, beta, phi)
-    if psi > beta:
-        raise ParameterError(f"shift threshold psi={psi} exceeds beta={beta}")
-    levels = level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi))
-    total = sum(iters for _, iters in levels)
-    if total == 0:
-        return [True] * batch.q
-    delta_leaf = 1.0 / (2 * total)
-    no_counts = [0] * batch.q
-    for p, iters in levels:
-        m_p = ceil_div(n, 1 << p)
-        blen = 1 << p
-        for _ in range(iters):
-            i = rs.uniform_index(m_p)
-            start = i * blen
-            length = min(blen, n - start)
-            sub = Batch(
-                batch.x.sub(start, length),
-                tuple(y.sub(start, length) for y in batch.ys),
-            )
-            answers = shifted_fn(sub, phi, beta, psi, delta_leaf, rs)
-            for j, ans in enumerate(answers):
-                if not ans:
-                    no_counts[j] += 1
-    return [c <= 5 for c in no_counts]
+    delta_leaf = 1.0 / (2 * max(1, gap_to_shifted_call_count(len(batch.x), alpha, phi)))
+
+    def oracle(sub, a, b, g, stream):
+        return shifted_fn(sub, a, b, g, delta_leaf, stream)
+
+    return [out.yes for out in gap_to_shifted(batch, alpha, beta, phi, oracle, rs)]
 
 
-def _majority_votes(rep_fn, reps: int, q: int) -> list[bool]:
-    yes_votes = [0] * q
+def _majority_votes(
+    batch: Batch,
+    alpha: int,
+    beta: int,
+    phi: int,
+    shifted_fn: ShiftedBatchFn,
+    delta: float,
+    rs: RandomStream,
+) -> list[bool]:
+    """Per-member majority over reps_majority(delta) gap->shifted passes."""
+    reps = reps_majority(delta)
+    yes_votes = [0] * batch.q
     for _ in range(reps):
-        for j, ans in enumerate(rep_fn()):
-            if ans:
-                yes_votes[j] += 1
+        for j, yes in enumerate(_batched_gap_via_shifted(batch, alpha, beta, phi, shifted_fn, rs)):
+            yes_votes[j] += yes
     return [2 * v > reps for v in yes_votes]
+
+
+def _batched_shifted_via_gap(
+    batch: Batch,
+    alpha: int,
+    beta: int,
+    gamma: int,
+    spread: int,
+    gap_fn: GapBatchFn,
+    delta: float,
+    rs: RandomStream,
+) -> list[bool]:
+    """The offset-grid reduction over a whole batch; every grid call goes to
+    gap_fn at error delta/(2 * grid calls)."""
+    xs, ys = shift_grid(beta, gamma, spread)
+    delta_call = delta / (2 * len(xs) * len(ys))
+
+    def oracle(sub, a, b, stream):
+        return gap_fn(sub, a, b, delta_call, stream)
+
+    return [out.yes for out in shifted_to_gap(batch, alpha, beta, gamma, spread, oracle, rs)]
+
+
+def _each(tester, make_instance, cfg: TesterConfig):
+    """Batch form of a one-instance tester under cfg, run member by member.
+
+    The result takes (sub, thresholds..., delta, rs) like the batched tiers;
+    make_instance is GapInstance or ShiftedInstance.
+    """
+
+    def pair(xv: View, yv: View, *args) -> bool:
+        *thresholds, delta, stream = args
+        return tester(make_instance(xv, yv, *thresholds), replace(cfg, delta=delta), stream)
+
+    return per_member(pair)
 
 
 def batched_gap_h1(
@@ -269,19 +275,12 @@ def batched_gap_h1(
             f"h=1 gate beta^2 <= alpha/(336 ceil(log2 n)) fails: "
             f"n={n} alpha={alpha} beta={beta}"
         )
-    psi = shifted_threshold(n, alpha, beta, beta)
-    assert psi == 0, "gate guarantees a zero shift threshold"
 
     def shifted_fn(sub, a, b, g, d, stream):
-        assert g == 0
+        assert g == 0, "the gate guarantees a zero shift threshold"
         return batched_shifted_h0(sub, a, b, d, stream)
 
-    reps = reps_majority(delta)
-    return _majority_votes(
-        lambda: _batched_gap_via_shifted(batch, alpha, beta, beta, shifted_fn, rs),
-        reps,
-        batch.q,
-    )
+    return _majority_votes(batch, alpha, beta, beta, shifted_fn, delta, rs)
 
 
 def h1_shifted_gate(n: int, alpha: int, gamma: int) -> bool:
@@ -295,7 +294,7 @@ def h1_shifted_params(n: int, alpha: int, beta: int, gamma: int, q: int) -> tupl
     (3024 ceil(log2 n))))) and the grid spread balances batch count against
     batch size: xi = max(gamma_bar, min(beta, floor(gamma_bar*sqrt(beta/q)))).
     """
-    gbar = min(beta, isqrt(alpha // (3024 * ceil_log2(n))))
+    gbar = min(beta, isqrt(alpha // (3024 * max(1, ceil_log2(n)))))
     xi = max(gbar, min(beta, isqrt(gbar * gbar * beta // q)))
     return gbar, xi
 
@@ -314,28 +313,9 @@ def batched_shifted_h1(
             f"h=1 shifted gate gamma^2 <= alpha/(3024 ceil(log2 n)) fails: "
             f"n={n} alpha={alpha} gamma={gamma}"
         )
-    if n <= beta:
-        return [exact_shifted_oracle(batch.x, y, alpha, beta, gamma, rs) for y in batch.ys]
     gbar, xi = h1_shifted_params(n, alpha, beta, gamma, batch.q)
     assert h1_gate(n, alpha, 3 * gbar), "raised gamma keeps the h=1 gap gate valid"
-    xs, ys_off = shift_grid(beta, gbar, 1 + xi)
-    n_prime = n - beta
-    delta_call = delta / (2 * len(xs) * len(ys_off))
-    verdicts = [False] * batch.q
-    for x_off in xs:
-        sub_ys = tuple(
-            y.sub(y_off, n_prime) for y in batch.ys for y_off in ys_off
-        )
-        answers = batched_gap_h1(
-            Batch(batch.x.sub(x_off, n_prime), sub_ys), alpha, 3 * gbar, delta_call, rs
-        )
-        k = 0
-        for j in range(batch.q):
-            for _ in ys_off:
-                if answers[k]:
-                    verdicts[j] = True
-                k += 1
-    return verdicts
+    return _batched_shifted_via_gap(batch, alpha, beta, gbar, 1 + xi, batched_gap_h1, delta, rs)
 
 
 def h2_gate(n: int, alpha: int, beta: int) -> bool:
@@ -371,16 +351,7 @@ def batched_gap_h2(
     assert phi >= beta, "the gate forces phi >= beta"
     psi = shifted_threshold(n, alpha, beta, phi)
     assert psi < beta and h1_shifted_gate(n, phi, psi), "derived thresholds stay in regime"
-
-    def shifted_fn(sub, a, b, g, d, stream):
-        return batched_shifted_h1(sub, a, b, g, d, stream)
-
-    reps = reps_majority(delta)
-    return _majority_votes(
-        lambda: _batched_gap_via_shifted(batch, alpha, beta, phi, shifted_fn, rs),
-        reps,
-        batch.q,
-    )
+    return _majority_votes(batch, alpha, beta, phi, batched_shifted_h1, delta, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +402,9 @@ def baseline_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool
         )
     if beta == 0:
         return equality_test(inst.x, inst.y, alpha, cfg.delta, rs)
-    sub_cfg = replace(cfg, h=h - 1)
-    reps = reps_majority(cfg.delta)
-    votes = [_gap_to_shifted_rep(inst, baseline_shifted, sub_cfg, rs) for _ in range(reps)]
-    return 2 * sum(votes) > reps
+    shifted_fn = _each(baseline_shifted, ShiftedInstance, replace(cfg, h=h - 1))
+    batch = single(inst.x, inst.y)
+    return _majority_votes(batch, alpha, beta, beta, shifted_fn, cfg.delta, rs)[0]
 
 
 def baseline_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
@@ -446,48 +416,11 @@ def baseline_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream)
         raise ParameterError(
             f"depth-{h} shifted gate rejects gamma={gamma} at n={n}, alpha={alpha}"
         )
-    return _shifted_to_gap_reduce(inst, baseline_gap, cfg, rs)
-
-
-def _gap_to_shifted_rep(
-    inst: GapInstance, shifted_tester, sub_cfg: TesterConfig, rs: RandomStream
-) -> bool:
-    """One unamplified gap->shifted pass with phi = beta.
-
-    Every block pair goes to shifted_tester under sub_cfg, at error
-    1/(2 * planned calls).
-    """
-    n, alpha, beta = inst.n, inst.alpha, inst.beta
-    total = gap_to_shifted_call_count(n, alpha, beta)
-    if total == 0:
-        return True
-    leaf_cfg = replace(sub_cfg, delta=1.0 / (2 * total))
-
-    def oracle(xv, yv, a, b, g, stream):
-        return shifted_tester(ShiftedInstance(xv, yv, a, b, g), leaf_cfg, stream)
-
-    return gap_to_shifted(inst.x, inst.y, alpha, beta, beta, oracle, rs).yes
-
-
-def _shifted_to_gap_reduce(
-    inst: ShiftedInstance, gap_tester, cfg: TesterConfig, rs: RandomStream
-) -> bool:
-    """The offset-grid reduction; every window pair goes to gap_tester at error
-    cfg.delta/(2 * grid calls)."""
-    total = shifted_to_gap_call_count(inst.n, inst.beta, inst.gamma)
-    call_cfg = replace(cfg, delta=cfg.delta / (2 * total))
-
-    def oracle(xv, yv, a, b, stream):
-        return gap_tester(GapInstance(xv, yv, a, b), call_cfg, stream)
-
-    return shifted_to_gap(inst.x, inst.y, inst.alpha, inst.beta, inst.gamma, oracle, rs).yes
-
-
-def shifted_to_gap_call_count(n: int, beta: int, gamma: int) -> int:
-    if n <= beta:
-        return 1
-    xs, ys = shift_grid(beta, gamma, shift_grid_spread(beta, gamma))
-    return len(xs) * len(ys)
+    spread = shift_grid_spread(inst.beta, gamma)
+    gap_fn = _each(baseline_gap, GapInstance, cfg)
+    return _batched_shifted_via_gap(
+        single(inst.x, inst.y), alpha, inst.beta, gamma, spread, gap_fn, cfg.delta, rs
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +502,9 @@ def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
         return batched_gap_h2(single(inst.x, inst.y), alpha, beta, cfg.delta, rs)[0]
     if tier[0] == "recursion":
         sub_cfg = replace(cfg, h=None, h_max=tier[1] - 1)
-        reps = reps_majority(cfg.delta)
-        votes = [_gap_to_shifted_rep(inst, main_shifted, sub_cfg, rs) for _ in range(reps)]
-        return 2 * sum(votes) > reps
+        shifted_fn = _each(main_shifted, ShiftedInstance, sub_cfg)
+        batch = single(inst.x, inst.y)
+        return _majority_votes(batch, alpha, beta, beta, shifted_fn, cfg.delta, rs)[0]
     assert tier[0] == "multilevel"
     reps = reps_any(cfg.delta)
     results = [
@@ -614,26 +547,19 @@ def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> 
     if tier[0] == "s3":
         return _shifted_s3(inst, cfg, rs)
     assert tier[0] == "reduce"
-    return _shifted_to_gap_reduce(inst, main_gap, replace(cfg, h=None), rs)
+    gap_fn = _each(main_gap, GapInstance, replace(cfg, h=None))
+    spread = shift_grid_spread(beta, gamma)
+    return _batched_shifted_via_gap(
+        single(inst.x, inst.y), alpha, beta, gamma, spread, gap_fn, cfg.delta, rs
+    )[0]
 
 
 def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
     """h=2 shifted path: offset grid with spread min(beta, gamma*sqrt(beta)),
     leaves served by the h=2 gap tester on per-offset batches."""
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
-    if n <= beta:
-        return exact_shifted_oracle(inst.x, inst.y, alpha, beta, gamma, rs)
     assert h2_gate(n, alpha, 3 * gamma), "s3 gate implies the h=2 gap gate for 3*gamma"
     xi = max(gamma, min(beta, isqrt(gamma * gamma * beta)))
-    xs, ys_off = shift_grid(beta, gamma, 1 + xi)
-    n_prime = n - beta
-    delta_call = cfg.delta / (2 * len(xs) * len(ys_off))
-    answers_any = []
-    for x_off in xs:
-        sub = Batch(
-            inst.x.sub(x_off, n_prime),
-            tuple(inst.y.sub(y_off, n_prime) for y_off in ys_off),
-        )
-        answers = batched_gap_h2(sub, alpha, 3 * gamma, delta_call, rs)
-        answers_any.extend(answers)
-    return any(answers_any)
+    return _batched_shifted_via_gap(
+        single(inst.x, inst.y), alpha, beta, gamma, 1 + xi, batched_gap_h2, cfg.delta, rs
+    )[0]

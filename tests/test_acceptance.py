@@ -24,6 +24,7 @@ from gapedit.reductions import (
     gap_to_shifted,
     key_lemma_check,
     multilevel_reduce,
+    per_member,
     single_level_reduce,
 )
 from gapedit.strings import (
@@ -305,8 +306,9 @@ def test_criterion_5_gap_to_shifted_error_rates():
     false_yes = 0
     for t in range(trials):
         x, y = _disjoint(60_000 + 2 * t, n)  # ED = n > alpha
-        out = gap_to_shifted(
-            as_view(x), as_view(y), alpha, beta, beta, exact_shifted_oracle, RandomStream(t)
+        [out] = gap_to_shifted(
+            single(as_view(x), as_view(y)), alpha, beta, beta, per_member(exact_shifted_oracle),
+            RandomStream(t),
         )
         false_yes += out.yes
     no_rate = false_yes / trials
@@ -315,8 +317,9 @@ def test_criterion_5_gap_to_shifted_error_rates():
     false_no = 0
     for t in range(trials):
         x, y = _planted_yes(62_000 + t, n, beta)
-        out = gap_to_shifted(
-            as_view(x), as_view(y), alpha, beta, beta, exact_shifted_oracle, RandomStream(t)
+        [out] = gap_to_shifted(
+            single(as_view(x), as_view(y)), alpha, beta, beta, per_member(exact_shifted_oracle),
+            RandomStream(t),
         )
         false_no += not out.yes
     yes_rate = false_no / trials

@@ -57,10 +57,46 @@ def grid_text(name: str) -> str:
     return blank_wall_time(text)
 
 
+def csv_diff(expected: str, got: str) -> list[str]:
+    """One line per differing cell, naming its row and column, and one for a changed row count."""
+    want = list(csv.reader(io.StringIO(expected)))
+    have = list(csv.reader(io.StringIO(got)))
+    keys = [CSV_COLUMNS.index(c) for c in ("record", "tester", "family", "k", "c", "trial")]
+    out = []
+    for line, (w, h) in enumerate(zip(want, have), start=1):
+        for col in range(max(len(w), len(h))):
+            a = w[col] if col < len(w) else "<none>"
+            b = h[col] if col < len(h) else "<none>"
+            if a != b:
+                name = CSV_COLUMNS[col] if col < len(CSV_COLUMNS) else f"column {col}"
+                row = " ".join(w[i] for i in keys if i < len(w))
+                out.append(f"line {line} ({row}): {name} {a!r} -> {b!r}")
+    if len(want) != len(have):
+        out.append(f"row count {len(want)} -> {len(have)}")
+    return out
+
+
+def test_csv_diff_names_rows_and_columns():
+    header = ",".join(CSV_COLUMNS)
+    row = ["trial", "main", "rotation", "64", "2", "15.0"] + ["1"] * (len(CSV_COLUMNS) - 6)
+    moved = list(row)
+    moved[CSV_COLUMNS.index("queries_distinct")] = "2"
+
+    def text(*rows):
+        return "\n".join([header, *(",".join(r) for r in rows)]) + "\n"
+
+    assert csv_diff(text(row), text(row)) == []
+    assert csv_diff(text(row), text(moved)) == [
+        "line 2 (trial main rotation 2 15.0 1): queries_distinct '1' -> '2'"
+    ]
+    assert csv_diff(text(row, row), text(row)) == ["row count 3 -> 2"]
+
+
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_golden_grid_csv(name):
     expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
-    assert grid_text(name) == expected
+    diffs = csv_diff(expected, grid_text(name))
+    assert not diffs, f"{name}.csv differs from the golden file:\n" + "\n".join(diffs)
 
 
 # ---------------------------------------------------------------------------

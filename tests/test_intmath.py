@@ -57,3 +57,10 @@ def test_isqrt_ceil(n):
 def test_iroot(k, n):
     r = iroot(k, n)
     assert r**k <= n < (r + 1) ** k
+
+
+def test_iroot_beyond_float_range():
+    # n >= 2^1024 cannot be converted to a float; the root stays exact
+    for k, n in ((3, 10**400), (2, 1 << 5000), (7, 3**2000 - 1), (4, (10**100 + 1) ** 4)):
+        r = iroot(k, n)
+        assert r**k <= n < (r + 1) ** k

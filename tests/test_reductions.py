@@ -7,6 +7,7 @@ import pytest
 from gapedit.intmath import ceil_log2
 from gapedit.metering import RandomStream
 from gapedit.reductions import (
+    Batch,
     BlockGrid,
     ParameterError,
     exact_gap_oracle,
@@ -17,10 +18,12 @@ from gapedit.reductions import (
     level_plan,
     multilevel_reduce,
     oracle_call_tally,
+    per_member,
     shift_grid,
     shift_grid_spread,
     shifted_threshold,
     shifted_to_gap,
+    single,
     single_level_plan,
     single_level_reduce,
 )
@@ -202,16 +205,18 @@ def test_shifted_threshold_values():
     # which exceeds beta, so the reduction must reject these parameters
     assert shifted_threshold(1 << 16, 8192, 16, 16) == 56
     x = as_view([0] * (1 << 16))
+    oracle = per_member(exact_shifted_oracle)
     with pytest.raises(ParameterError):
-        gap_to_shifted(x, x, 8192, 16, 16, exact_shifted_oracle, RandomStream(1))
+        gap_to_shifted(single(x, x), 8192, 16, 16, oracle, RandomStream(1))
     # with a much larger gap the threshold collapses to a usable value
     assert shifted_threshold(1 << 19, 1 << 19, 16, 16) <= 1
 
 
 def test_gap_to_shifted_equal_strings():
     x = rand_list(12, 4096, 1 << 16)
-    out = gap_to_shifted(
-        as_view(x), as_view(list(x)), 2048, 1, 1, exact_shifted_oracle, RandomStream(5)
+    [out] = gap_to_shifted(
+        single(as_view(x), as_view(list(x))), 2048, 1, 1, per_member(exact_shifted_oracle),
+        RandomStream(5),
     )
     assert out.yes and out.no_count == 0
 
@@ -224,7 +229,9 @@ def test_gap_to_shifted_error_rates():
     false_yes = 0
     trials = 150
     for seed in range(trials):
-        out = gap_to_shifted(xv, yv, alpha, 1, 1, exact_shifted_oracle, RandomStream(seed))
+        [out] = gap_to_shifted(
+            single(xv, yv), alpha, 1, 1, per_member(exact_shifted_oracle), RandomStream(seed)
+        )
         false_yes += out.yes
     assert false_yes / trials <= 1 / 2.718281828 + 0.08
     # YES side: one substitution, ED <= beta = 1
@@ -233,8 +240,9 @@ def test_gap_to_shifted_error_rates():
     y2[1777] = 1 << 20
     false_no = 0
     for seed in range(trials):
-        out = gap_to_shifted(
-            as_view(x2), as_view(y2), alpha, 1, 1, exact_shifted_oracle, RandomStream(seed)
+        [out] = gap_to_shifted(
+            single(as_view(x2), as_view(y2)), alpha, 1, 1, per_member(exact_shifted_oracle),
+            RandomStream(seed),
         )
         false_no += not out.yes
     assert false_no / trials <= 1 / 2.718281828 + 0.08
@@ -242,8 +250,9 @@ def test_gap_to_shifted_error_rates():
 
 def test_gap_to_shifted_call_count_matches():
     n, alpha, phi = 4096, 2048, 1
-    out = gap_to_shifted(
-        as_view([0] * n), as_view([0] * n), alpha, 1, phi, exact_shifted_oracle, RandomStream(0)
+    [out] = gap_to_shifted(
+        single(as_view([0] * n), as_view([0] * n)), alpha, 1, phi,
+        per_member(exact_shifted_oracle), RandomStream(0),
     )
     assert out.call_count == gap_to_shifted_call_count(n, alpha, phi)
 
@@ -267,9 +276,10 @@ def test_shift_grid_examples():
 def test_shifted_to_gap_counts_and_bounds():
     x = rand_list(31, 256, 1 << 16)
     xv = as_view(x)
-    out = shifted_to_gap(xv, xv, 10, 3, 0, exact_gap_oracle, RandomStream(1))
+    oracle = per_member(exact_gap_oracle)
+    [out] = shifted_to_gap(single(xv, xv), 10, 3, 0, 2, oracle, RandomStream(1))
     assert out.yes and out.call_count == 16
-    out = shifted_to_gap(xv, xv, 9, 3, 3, exact_gap_oracle, RandomStream(1))
+    [out] = shifted_to_gap(single(xv, xv), 9, 3, 3, 4, oracle, RandomStream(1))
     assert out.yes and out.call_count <= 4
 
 
@@ -279,13 +289,19 @@ def test_shifted_to_gap_rotation_yes():
     from gapedit.strings import shifted_ed_exact
 
     assert shifted_ed_exact(x, y, 4) == 0
-    out = shifted_to_gap(as_view(x), as_view(y), 10, 4, 0, exact_gap_oracle, RandomStream(2))
+    [out] = shifted_to_gap(
+        single(as_view(x), as_view(y)), 10, 4, 0, shift_grid_spread(4, 0),
+        per_member(exact_gap_oracle), RandomStream(2),
+    )
     assert out.yes
 
 
 def test_shifted_to_gap_no_side():
     x, y = disjoint_pair(41, 256)
-    out = shifted_to_gap(as_view(x), as_view(y), 16, 4, 1, exact_gap_oracle, RandomStream(2))
+    [out] = shifted_to_gap(
+        single(as_view(x), as_view(y)), 16, 4, 1, shift_grid_spread(4, 1),
+        per_member(exact_gap_oracle), RandomStream(2),
+    )
     assert not out.yes
 
 
@@ -297,19 +313,20 @@ def test_shifted_to_gap_degenerate_short_strings():
     x = as_view([1, 2, 3])
     z = as_view([9, 9, 9])
     assert shifted_ed_exact([1, 2, 3], [9, 9, 9], 4) == 0
-    out = shifted_to_gap(x, z, 12, 4, 0, exact_gap_oracle, RandomStream(1))
+    oracle, spread = per_member(exact_gap_oracle), shift_grid_spread(4, 0)
+    [out] = shifted_to_gap(single(x, z), 12, 4, 0, spread, oracle, RandomStream(1))
     assert out.yes
     # one symbol over budget: the grid runs and the disjoint content fails it
     x5 = as_view([1, 2, 3, 4, 5])
     z5 = as_view([9, 8, 7, 6, 5 + 10])
-    out = shifted_to_gap(x5, z5, 12, 4, 0, exact_gap_oracle, RandomStream(1))
+    [out] = shifted_to_gap(single(x5, z5), 12, 4, 0, spread, oracle, RandomStream(1))
     assert not out.yes
 
 
 def test_shifted_to_gap_rejects_small_alpha():
     x = as_view([0] * 32)
     with pytest.raises(ParameterError):
-        shifted_to_gap(x, x, 5, 4, 2, exact_gap_oracle, RandomStream(1))
+        shifted_to_gap(single(x, x), 5, 4, 2, 3, per_member(exact_gap_oracle), RandomStream(1))
 
 
 def test_banded_membership_equivalence():
@@ -322,3 +339,67 @@ def test_banded_membership_equivalence():
         tau = rng.choice([1, 2, 3])
         banded_over = gap_ed_banded(x, y, tau) is EXCEEDS
         assert banded_over == (ed_exact(x, y) > tau)
+
+
+def test_shift_grid_bounds_exhaustive():
+    # every beta <= 40, gamma <= beta and spread in [1+gamma, 1+beta]: the grid
+    # matches its definition, both bounds asserted by shifted_to_gap hold, and
+    # shifted_to_gap makes one call per grid point
+    def count_calls(sub, a, b, rs):
+        return [True] * sub.q
+
+    for beta in range(41):
+        x = as_view([0] * (beta + 1))
+        for gamma in range(beta + 1):
+            g1 = 1 + gamma
+            for spread in range(g1, beta + 2):
+                xs, ys = shift_grid(beta, gamma, spread)
+                xi = spread - 1
+                assert xs == [v for v in range(beta + 1) if v % spread in (0, beta % spread)]
+                assert ys == [
+                    v
+                    for v in range(beta + 1)
+                    if (v <= xi and v % g1 == 0) or (v >= beta - xi and v % g1 == beta % g1)
+                ]
+                assert len(xs) * len(ys) * g1 <= 16 * (1 + beta)
+                assert len(xs) + len(ys) <= 2 * -(-(1 + beta) // spread) + 2 * -(-spread // g1)
+                [out] = shifted_to_gap(
+                    single(x, x), 3 * beta, beta, gamma, spread, count_calls, RandomStream(0)
+                )
+                assert out.call_count == len(xs) * len(ys)
+            for bad in (gamma, beta + 2):
+                with pytest.raises(ParameterError):
+                    shifted_to_gap(single(x, x), 3 * beta, beta, gamma, bad, count_calls, None)
+
+
+def _mixed_batch(n, shift):
+    x = rand_list(70, n, 1 << 16)
+    y_rot = x[-shift:] + x[:-shift]
+    _, y_no = disjoint_pair(71, n)
+    return Batch(as_view(x), (as_view(list(x)), as_view(y_rot), as_view(y_no)))
+
+
+def test_gap_to_shifted_batch_matches_single_calls():
+    batch = _mixed_batch(4096, 2)
+    oracle = per_member(exact_shifted_oracle)
+    for seed in range(3):
+        got = gap_to_shifted(batch, 2048, 1, 1, oracle, RandomStream(seed))
+        want = [
+            gap_to_shifted(single(batch.x, y), 2048, 1, 1, oracle, RandomStream(seed))[0]
+            for y in batch.ys
+        ]
+        assert got == want
+        assert got[0].yes and not got[2].yes
+
+
+def test_shifted_to_gap_batch_matches_single_calls():
+    batch = _mixed_batch(256, 3)
+    oracle = per_member(exact_gap_oracle)
+    spread = shift_grid_spread(4, 1)
+    got = shifted_to_gap(batch, 16, 4, 1, spread, oracle, RandomStream(2))
+    want = [
+        shifted_to_gap(single(batch.x, y), 16, 4, 1, spread, oracle, RandomStream(2))[0]
+        for y in batch.ys
+    ]
+    assert got == want
+    assert [out.yes for out in got] == [True, True, False]

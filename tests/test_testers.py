@@ -9,7 +9,10 @@ from gapedit.intmath import ceil_log2
 from gapedit.metering import MeteredString, RandomStream
 from gapedit.reductions import (
     ParameterError,
-    shift_grid,
+    exact_shifted_oracle,
+    oracle_call_tally,
+    per_member,
+    shift_grid_spread,
     shifted_threshold,
     shifted_to_gap,
 )
@@ -18,7 +21,9 @@ from gapedit.testers import (
     Batch,
     TesterConfig,
     UnsupportedRegimeError,
-    _gap_to_shifted_rep,
+    _batched_gap_via_shifted,
+    _each,
+    _shifted_s3,
     baseline_gap,
     baseline_gap_gate,
     baseline_max_beta,
@@ -103,6 +108,12 @@ def test_h0_spread_values():
     assert h0_spread(64, 64) == 2
     assert h0_spread(1, 0) == 1
     assert h0_spread(4, 1) == min(2, 2)
+    # large beta: the smallest t with t^2 q >= q + beta, still clamped to 1 + beta
+    assert h0_spread(1, 10**12) == 10**6 + 1
+    assert h0_spread(1, 10**12 - 1) == 10**6
+    for q, beta in ((3, 10**18), (64, 2**61 + 5), (10**6, 10**15)):
+        t = h0_spread(q, beta)
+        assert t * t * q >= q + beta > (t - 1) * (t - 1) * q
 
 
 def test_h0_identical_batch_all_yes():
@@ -157,7 +168,10 @@ def test_h0_batched_vs_unbatched_pipeline_rates():
             assert b == 0
             return equality_test(av, bv, a, delta / 32, stream)
 
-        return shifted_to_gap(xv, yv, alpha, beta, 0, leaf, rs).yes
+        [out] = shifted_to_gap(
+            single(xv, yv), alpha, beta, 0, shift_grid_spread(beta, 0), per_member(leaf), rs
+        )
+        return out.yes
 
     for make_pair, expect in (
         (lambda t: (list(range(t, t + n)), list(range(t + n - 5, t + n)) + list(range(t, t + n - 5))), True),
@@ -501,6 +515,13 @@ def test_plan_gap_dispatch_tiers():
     assert exc.value.max_beta == 3
 
 
+def test_plan_gap_dispatch_huge_alpha_is_unsupported():
+    # alpha^2 far beyond the float range: the max-beta diagnostic stays exact
+    with pytest.raises(UnsupportedRegimeError) as exc:
+        plan_gap_dispatch(1024, int((10**200) ** 1.01), 10**200, TesterConfig(h=2))
+    assert exc.value.max_beta < 10**200
+
+
 def test_plan_gap_dispatch_explicit_h():
     assert plan_gap_dispatch(1 << 14, 8192, 1, TesterConfig(h=1)) == ("h1",)
     with pytest.raises(UnsupportedRegimeError):
@@ -549,12 +570,13 @@ def test_main_gap_recursion_plumbing():
     n = 4096
     x = rand_sym(16, n, 1 << 30)
     inst = GapInstance(as_view(x), as_view(list(x)), 4096, 1)
-    # one depth-3 repetition: main_shifted leaves with recursion depth <= 2
-    cfg = TesterConfig(delta=0.3, h_max=2)
-    assert _gap_to_shifted_rep(inst, main_shifted, cfg, RandomStream(2))
+    # one depth-3 pass: main_shifted leaves with recursion depth <= 2
+    shifted_fn = _each(main_shifted, ShiftedInstance, TesterConfig(delta=0.3, h_max=2))
+    batch = single(inst.x, inst.y)
+    assert _batched_gap_via_shifted(batch, 4096, 1, 1, shifted_fn, RandomStream(2)) == [True]
     x2, y2 = disjoint(90, n, 1 << 30)
-    inst = GapInstance(as_view(x2), as_view(y2), 4050, 1)
-    assert not _gap_to_shifted_rep(inst, main_shifted, cfg, RandomStream(2))
+    batch = single(as_view(x2), as_view(y2))
+    assert _batched_gap_via_shifted(batch, 4050, 1, 1, shifted_fn, RandomStream(2)) == [False]
 
 
 def test_recursion_tier_selection_arithmetic():
@@ -584,13 +606,29 @@ def test_shifted_s3_selection_arithmetic():
 
 def test_shifted_s3_runs_end_to_end():
     # drive the s3 path directly at permissive thresholds (vacuous NO promise)
-    from gapedit.testers import _shifted_s3
-
     n = 1 << 19
     alpha, beta, gamma = 2_700_000, 4, 1
     x = rand_sym(55, n, 1 << 30)
     inst = ShiftedInstance(as_view(x), as_view(list(x)), alpha, beta, gamma)
     assert _shifted_s3(inst, TesterConfig(delta=0.5), RandomStream(3))
+
+
+def test_short_strings_decided_exactly_on_the_grid_paths():
+    # n <= beta: the h=1 shifted and s3 paths return exact_shifted_oracle's
+    # answer, one exact call per member and no grid (h=1 decides at its
+    # raised gamma_bar >= gamma; see h1_shifted_params)
+    for n, beta in ((1, 1), (3, 4), (6, 6)):
+        sym = rand_sym(40 + n, n)
+        x, ys = as_view(sym), (as_view(list(sym)), as_view(rand_sym(50 + n, n)))
+        want = [exact_shifted_oracle(x, y, 10**6, beta, 1, RandomStream(0)) for y in ys]
+        with oracle_call_tally() as tally:
+            got = batched_shifted_h1(Batch(x, ys), 10**5, beta, 1, 0.1, RandomStream(1))
+        assert got == want and tally[0] == len(ys)
+        for y, yes in zip(ys, want):
+            with oracle_call_tally() as tally:
+                inst = ShiftedInstance(x, y, 10**6, beta, 1)
+                assert _shifted_s3(inst, TesterConfig(delta=0.1), RandomStream(1)) == yes
+            assert tally[0] == 1
 
 
 def test_main_shifted_tiers_run():
