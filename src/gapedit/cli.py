@@ -17,6 +17,7 @@ from .harness import (
     InstanceSpec,
     adjudicate,
     generate,
+    ladder_alpha,
     parse_config_text,
     read_trial_rows,
     run_grid,
@@ -92,6 +93,8 @@ def _cmd_run(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
+    for reason in result.reasons:
+        print(f"unsupported: {reason}", file=sys.stderr)
     print(
         f"cells={result.cells} rows={result.rows} "
         f"unsupported_cells={result.unsupported_cells}",
@@ -125,7 +128,7 @@ def _cmd_adjudicate(args) -> int:
 
 def _certify_target(name: str, n: int, k: int, c: float, delta: float, h):
     """Build a (MeteredString, MeteredString, RandomStream) tester closure."""
-    alpha = int(k**c)
+    alpha = ladder_alpha(k, c)
     beta = k
     cfg = TesterConfig(delta=delta, h=None if h == "auto" else int(h))
 

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from statistics import mean, median
 from typing import Iterable, Optional
@@ -79,6 +79,21 @@ class UnsatisfiableSpecError(ValueError):
     """The requested instance family cannot be built at these parameters."""
 
 
+def ladder_alpha(k: int, c: float) -> int:
+    """The NO threshold alpha = int(k**c) of a (k, c) grid point.
+
+    The power is a float power, as in every recorded CSV. A k or k**c past
+    the float range raises UnsatisfiableSpecError instead of OverflowError,
+    so the grid records an unsupported cell.
+    """
+    try:
+        return int(k**c)
+    except OverflowError:
+        raise UnsatisfiableSpecError(
+            f"alpha = k^c is past the float range at c={c} and a {len(str(k))}-digit k"
+        ) from None
+
+
 @dataclass(frozen=True)
 class TruthCert:
     """Certified bounds lo <= ed_exact(x, y) <= hi."""
@@ -143,7 +158,7 @@ def _plant_substitutions(
 
 
 def _planted_no_count(n: int, k: int, c: float) -> int:
-    alpha = int(k**c)
+    alpha = ladder_alpha(k, c)
     return min(n, alpha + 1 + max(1, k))
 
 
@@ -200,7 +215,7 @@ def _generate_raw(spec: InstanceSpec, rs: RandomStream) -> tuple[list[int], list
         return x, y, TruthCert(planted, planted)
 
     assert fam == "padded-hard"
-    alpha = int(k**spec.c)
+    alpha = ladder_alpha(k, spec.c)
     core_len = 6 * alpha
     if core_len < 1 or core_len > n:
         raise UnsatisfiableSpecError(
@@ -344,6 +359,7 @@ class GridResult:
     rows: int = 0
     cells: int = 0
     unsupported_cells: int = 0
+    reasons: list[str] = field(default_factory=list)  # why trials were unsupported, per cell
 
     @property
     def exit_code(self) -> int:
@@ -393,12 +409,12 @@ def run_grid(config: GridConfig, out) -> GridResult:
     tester_cfg = TesterConfig(delta=config.delta, h=config.h)
 
     for cell_idx, (tester, family, n, c, k) in enumerate(config.cells()):
-        alpha = int(k**c)
         beta = k
         fn = TESTERS[tester]
         cell_rs = RandomStream(config.seed).child(f"cell-{cell_idx}")
         trial_rows = []
         supported = 0
+        reasons: dict[str, None] = {}  # distinct, in order of first appearance
         for t in range(config.trials):
             trs = cell_rs.child(f"trial-{t}")
             side = "yes" if t % 2 == 0 else "no"
@@ -407,6 +423,7 @@ def run_grid(config: GridConfig, out) -> GridResult:
                 h=config.h, delta=config.delta, seed=config.seed, trial=t,
             )
             try:
+                alpha = ladder_alpha(k, c)
                 spec = InstanceSpec(
                     family=family,
                     n=n,
@@ -416,7 +433,8 @@ def run_grid(config: GridConfig, out) -> GridResult:
                     c=c,
                 )
                 x, y, cert = generate(spec, trs.child("gen"))
-            except UnsatisfiableSpecError:
+            except UnsatisfiableSpecError as exc:
+                reasons[str(exc)] = None
                 trial_rows.append(
                     TrialRecord(
                         **base, verdict="", truth="", queries_total=0,
@@ -440,7 +458,8 @@ def run_grid(config: GridConfig, out) -> GridResult:
             with oracle_call_tally() as tally:
                 try:
                     verdict = YES if fn(xm.view(), ym.view(), alpha, beta, tester_cfg, trs.child("run")) else NO
-                except (UnsupportedRegimeError, ParameterError):
+                except (UnsupportedRegimeError, ParameterError) as exc:
+                    reasons[str(exc)] = None
                     status = "unsupported"
             wall = time.perf_counter_ns() - t0
             if status == "ok":
@@ -474,6 +493,7 @@ def run_grid(config: GridConfig, out) -> GridResult:
         result.cells += 1
         if supported == 0:
             result.unsupported_cells += 1
+        result.reasons.extend(f"cell {cell_idx}: {r}" for r in reasons)
     return result
 
 

@@ -147,10 +147,16 @@ def per_member(oracle: Callable[..., bool]) -> BatchOracle:
 
 
 def exact_gap_oracle(xv: View, yv: View, alpha: int, beta: int, rs: RandomStream) -> bool:
-    """Valid gap solver for any thresholds: reads both substrings, banded DP."""
+    """Valid gap solver for any thresholds: reads both substrings, banded DP.
+
+    Both blocks are always fetched, so reads do not depend on the answer.
+    Blocks no longer than beta need no DP: ED <= max(|x|, |y|) <= beta.
+    """
     _tally()
     bx = xv.fetch()
     by = yv.fetch()
+    if len(bx) <= beta and len(by) <= beta:
+        return True
     return gap_ed_banded(bx, by, beta) is not EXCEEDS
 
 

@@ -246,7 +246,11 @@ def _lcp(x: Sequence[int], y: Sequence[int], i: int, j: int, limit: int) -> int:
 def gap_ed_banded(x, y, beta: int):
     """ed_exact(x, y) when it is <= beta, else the EXCEEDS sentinel.
 
-    Diagonal-wave algorithm: O(n + beta^2) waves plus match-run extension.
+    Landau-Vishkin diagonal waves (Landau & Vishkin 1989; Ukkonen 1985):
+    wave e holds, for each diagonal d = column - row that can still reach
+    the target diagonal within beta edits, the furthest row reachable with
+    e edits. O(n + beta^2) wave cells plus match-run extension; a run is
+    only extended past a first symbol that matches.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -263,26 +267,24 @@ def gap_ed_banded(x, y, beta: int):
     if n == 0:
         return m if m <= beta else EXCEEDS
 
-    NEG = -(n + 2)
-    off = beta + 1  # array offset so diagonal d sits at d + off
-    size = 2 * beta + 3
-    prev = [NEG] * size
-    cur = [NEG] * size
-
-    i0 = _lcp(x, y, 0, 0, n)
-    if dd == 0 and i0 >= n:
+    row = _lcp(x, y, 0, 0, n)
+    if dd == 0 and row >= n:
         return 0
-    cur[off] = i0
-    prev, cur = cur, prev
-
+    # A wave over diagonals lo..hi is stored as lo-2..hi+2, padded with NEG,
+    # so the next wave reads diagonals d-1, d, d+1 without bounds checks.
+    # Each wave's range lies within one diagonal of the last, so every live
+    # diagonal has a live neighbour, and NEG + 1 < 0 <= any row never wins.
+    NEG = -2
+    prev = [NEG, NEG, row, NEG, NEG]
+    base = -2  # the diagonal at prev[0]
     for e in range(1, beta + 1):
         slack = beta - e
         lo = max(-e, dd - slack, -n)
         hi = min(e, dd + slack, m)
-        if lo > hi:
-            return EXCEEDS
+        cur = [NEG, NEG]
+        push = cur.append
+        k = lo - base  # index in prev of the diagonal d below
         for d in range(lo, hi + 1):
-            k = d + off
             best = prev[k] + 1  # substitution
             v = prev[k + 1] + 1  # deletion from x
             if v > best:
@@ -290,22 +292,19 @@ def gap_ed_banded(x, y, beta: int):
             v = prev[k - 1]  # insertion into x (row unchanged)
             if v > best:
                 best = v
-            if best < 0:
-                cur[k] = NEG
-                continue
+            k += 1
             cap = m - d
             if cap > n:
                 cap = n
-            if best > cap:
+            if best >= cap:
                 best = cap
-            if best < cap:
-                best += _lcp(x, y, best, best + d, cap - best)
-            cur[k] = best
-        if cur[dd + off] >= n:
+            elif x[best] == y[best + d]:
+                best += 1 + _lcp(x, y, best + 1, best + 1 + d, cap - best - 1)
+            push(best)
+        if e >= dd and cur[dd - lo + 2] >= n:
             return e
-        prev, cur = cur, prev
-        for k in range(len(cur)):
-            cur[k] = NEG
+        cur += (NEG, NEG)
+        prev, base = cur, lo - 2
     return EXCEEDS
 
 

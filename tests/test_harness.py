@@ -371,6 +371,22 @@ def test_cli_exit_code_unsupported_grid(tmp_path):
     assert code == 2
 
 
+def test_cli_alpha_past_float_range_is_an_unsupported_cell(tmp_path, capsys):
+    # int(k**c) raises OverflowError for a k beyond the float range
+    out = tmp_path / "o.csv"
+    code = cli_main(
+        ["run", "--n", "64", "--k", str(10**400), "--c", "1.01", "--h", "2",
+         "--out", str(out)]
+    )
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [r["status"] for r in rows if r["record"] == "summary"] == ["unsupported"]
+    assert all(r["status"] == "unsupported" for r in rows)
+    err = capsys.readouterr().err
+    assert "unsupported: cell 0: alpha = k^c is past the float range" in err
+    assert "unsupported_cells=1" in err
+
+
 def test_cli_error_exit_code(tmp_path):
     assert cli_main(["adjudicate", "--in", str(tmp_path / "missing.csv")]) == 1
 

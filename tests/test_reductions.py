@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gapedit.intmath import ceil_log2
-from gapedit.metering import RandomStream
+from gapedit.metering import MeteredString, RandomStream
 from gapedit.reductions import (
     Batch,
     BlockGrid,
@@ -143,7 +143,19 @@ def test_oracle_call_tally():
     xv = as_view(x)
     with oracle_call_tally() as tally:
         out = single_level_reduce(xv, xv, 512, 4, 4, exact_gap_oracle, RandomStream(2))
-    assert tally[0] == out.call_count == 7
+        # blocks no longer than beta are YES without a DP, but still read in full
+        x, y = disjoint_pair(5, 80)
+        for length, beta in ((64, 64), (40, 64), (1, 1)):
+            xm, ym = MeteredString(x), MeteredString(y)
+            xb, yb = xm.view().sub(3, length), ym.view().sub(7, length)
+            assert ed_exact(xb.fetch(), yb.fetch()) == length
+            xm.count = ym.count = 0
+            assert exact_gap_oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is True
+            assert xm.count == ym.count == length
+        xm, ym = MeteredString(x), MeteredString(y)
+        assert exact_gap_oracle(xm.view(), ym.view(), 252, 63, RandomStream(1)) is False
+        assert xm.count == ym.count == 80
+    assert tally[0] == out.call_count + 4 == 11
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,40 @@ def test_gap_banded_matches_exact(x, y, beta):
     assert (got == e) if e <= beta else (got is EXCEEDS)
 
 
+def drifted(rng, x, deletions, insertions, alphabet):
+    """x with deletions, then insertions, at uniform positions: the optimal
+    alignment walks off the main diagonal and back."""
+    y = list(x)
+    for _ in range(deletions):
+        del y[rng.randrange(len(y))]
+    for _ in range(insertions):
+        y.insert(rng.randrange(len(y) + 1), rng.randrange(alphabet))
+    return y
+
+
+@pytest.mark.parametrize("alphabet", (2, 1 << 32))
+def test_gap_banded_near_threshold_indels(alphabet):
+    # thresholds one below, at and one above the distance, on partners of
+    # equal length and of lengths apart by up to that threshold
+    rng = random.Random(29)
+    for length in (63, 64, 65, 256, 1024):
+        x = [rng.randrange(alphabet) for _ in range(length)]
+        for p in (1, 3, 8, 20):
+            for skew in (0, 1, p):
+                for dels, ins in ((p + skew, p), (p, p + skew)):
+                    y = drifted(rng, x, dels, ins, alphabet)
+                    assert abs(len(y) - length) == skew
+                    e = ed_exact(x, y)
+                    for beta in (e - 1, e, e + 1):
+                        if beta < 0:
+                            continue
+                        for a, b in ((x, y), (y, x)):
+                            got = gap_ed_banded(a, b, beta)
+                            assert (got == e) if e <= beta else (got is EXCEEDS), (
+                                length, p, skew, beta, e, got
+                            )
+
+
 def test_hereditary_on_random_strings():
     # equal-length pairs: any aligned slice pair is at most as far apart
     rng = random.Random(101)
