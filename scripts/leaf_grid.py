@@ -37,6 +37,7 @@ from time import thread_time_ns
 LENGTHS = (64, 256, 1024, 4096, 16384, 65536)
 BETAS = (16, 64, 256)
 ALPHABET = 1 << 32
+SEED = 1
 MIN_CELL_NS = 100_000_000  # repeat a call until this much CPU time is spent...
 MIN_REPEATS = 3  # ...and at least this often
 
@@ -78,7 +79,7 @@ def git_state(tree: Path) -> dict:
     return {"git_sha": git("rev-parse", "HEAD"), "git_dirty": bool(git("status", "--porcelain", "src"))}
 
 
-def run_grid(strings, seed: int) -> list[dict]:
+def run_grid(strings) -> list[dict]:
     rows = []
     for length in LENGTHS:
         for beta in BETAS:
@@ -86,7 +87,7 @@ def run_grid(strings, seed: int) -> list[dict]:
                 edits = beta + 1 if side == "no" else beta // 2 if kind == "sub" else beta // 4
                 if edits > length or (side == "no" and length <= beta):
                     continue
-                rng = random.Random(f"{seed}-{length}-{beta}-{side}-{kind}")
+                rng = random.Random(f"{SEED}-{length}-{beta}-{side}-{kind}")
                 x, y = instance(rng, length, kind, edits)
                 answer = strings.gap_ed_banded(x, y, beta)
                 if (answer is strings.EXCEEDS) != (side == "no"):
@@ -111,7 +112,6 @@ def main() -> int:
     ap.add_argument("--src", type=Path, default=root / "src", help="source tree holding gapedit")
     ap.add_argument("--label", required=True, help="key the run is stored under")
     ap.add_argument("--out", type=Path, default=root / "BENCH_banded_leaf.json")
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
     src = args.src.resolve()
@@ -125,9 +125,9 @@ def main() -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
-        "seed": args.seed,
+        "seed": SEED,
         "time": "median CPU ms of one call (thread_time_ns)",
-        "rows": run_grid(strings, args.seed),
+        "rows": run_grid(strings),
     }
     run["crossover"] = [
         f"L={r['L']} beta={r['beta']} {r['side']}/{r['kind']}" for r in run["rows"] if r["bitvector_wins"]

@@ -273,7 +273,8 @@ def gap_ed_banded(x, y, beta: int):
     # A wave over diagonals lo..hi is stored as lo-2..hi+2, padded with NEG,
     # so the next wave reads diagonals d-1, d, d+1 without bounds checks.
     # Each wave's range lies within one diagonal of the last, so every live
-    # diagonal has a live neighbour, and NEG + 1 < 0 <= any row never wins.
+    # diagonal has a live neighbour; as NEG + 1 < 0 <= any row, padding
+    # never wins the max.
     NEG = -2
     prev = [NEG, NEG, row, NEG, NEG]
     base = -2  # the diagonal at prev[0]
@@ -283,7 +284,7 @@ def gap_ed_banded(x, y, beta: int):
         hi = min(e, dd + slack, m)
         cur = [NEG, NEG]
         push = cur.append
-        k = lo - base  # index in prev of the diagonal d below
+        k = lo - base  # index of diagonal d in prev
         for d in range(lo, hi + 1):
             best = prev[k] + 1  # substitution
             v = prev[k + 1] + 1  # deletion from x
