@@ -68,6 +68,26 @@ class RandomStream:
             if z < limit:
                 return z % m
 
+    def uniform_indices(self, m: int, count: int) -> list[int]:
+        """`count` draws of `uniform_index(m)` in one vectorized pass.
+
+        Same values and same final state as the scalar calls: the accepted
+        draws of each block are kept in order and the rejected ones are drawn
+        again from where the block ended.
+        """
+        if m < 1:
+            raise ValueError(f"uniform_indices needs m >= 1, got {m}")
+        if m == 1:
+            return [0] * count
+        if m & (m - 1) == 0:  # 2^64 is a multiple of m: nothing is rejected
+            return (self.u64_block(count) & np.uint64(m - 1)).tolist()
+        limit = np.uint64((1 << 64) - ((1 << 64) % m))
+        out: list[int] = []
+        while len(out) < count:
+            z = self.u64_block(count - len(out))
+            out += (z[z < limit] % np.uint64(m)).tolist()
+        return out
+
     def child(self, label) -> "RandomStream":
         if isinstance(label, int):
             data = b"i" + label.to_bytes(8, "little", signed=True)

@@ -4,9 +4,10 @@ All reductions plan their oracle calls up front (level-major, iteration-minor)
 and execute every planned call: there is no short-circuiting, so the access
 pattern is a pure function of (n, parameters, seed).
 
-The one-pair block reductions (single-level, multi-level) take a pair oracle:
+The one-pair block reductions (single-level, multi-level) fetch each planned
+block pair, x block first, and hand it to a pair oracle:
 
-- gap oracle:     fn(xv, yv, alpha, beta, rs) -> bool    (YES == True)
+- gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, rs) -> bool
 
 The two reductions of the mutual recursion work on a `Batch` (q instances
@@ -28,18 +29,18 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable
+from typing import Callable, Sequence
 
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
 from .metering import RandomStream
-from .strings import EXCEEDS, View, ed_exact, gap_ed_banded
+from .strings import EXCEEDS, View, _coerce, ed_exact, gap_ed_banded
 
 
 class ParameterError(ValueError):
     """A reduction was invoked outside its stated parameter regime."""
 
 
-GapOracle = Callable[[View, View, int, int, RandomStream], bool]
+GapOracle = Callable[[Sequence[int], Sequence[int], int, int, RandomStream], bool]
 BatchOracle = Callable[..., list[bool]]  # see the module docstring
 
 
@@ -146,16 +147,19 @@ def per_member(oracle: Callable[..., bool]) -> BatchOracle:
 # ---------------------------------------------------------------------------
 
 
-def exact_gap_oracle(xv: View, yv: View, alpha: int, beta: int, rs: RandomStream) -> bool:
-    """Valid gap solver for any thresholds: reads both substrings, banded DP.
+def exact_gap_oracle(
+    xb: Sequence[int] | View, yb: Sequence[int] | View, alpha: int, beta: int, rs: RandomStream
+) -> bool:
+    """Valid gap solver for any thresholds on two blocks, by banded DP.
 
-    Both blocks are always fetched, so reads do not depend on the answer.
-    Blocks no longer than beta need no DP: ED <= max(|x|, |y|) <= beta.
+    A block is a symbol list or a `View`; a View is fetched whole, x first,
+    so reads do not depend on the answer. Blocks no longer than beta
+    (ED <= max(|x|, |y|) <= beta) and equal blocks (ED = 0) need no DP.
     """
     _tally()
-    bx = xv.fetch()
-    by = yv.fetch()
-    if len(bx) <= beta and len(by) <= beta:
+    bx = _coerce(xb)
+    by = _coerce(yb)
+    if (len(bx) <= beta and len(by) <= beta) or bx == by:
         return True
     return gap_ed_banded(bx, by, beta) is not EXCEEDS
 
@@ -217,30 +221,31 @@ def single_level_plan(n: int, alpha: int, phi: int) -> tuple[int, int, int]:
 def _run_gap_calls(
     xv: View,
     yv: View,
-    plan: list[tuple[int, int, int]],
+    plan: list[tuple[int, int]],
     alpha: int,
     beta: int,
     oracle: GapOracle,
     rs: RandomStream,
 ) -> ReductionOutcome:
-    """Execute planned (start, length) gap calls; plan entries are (start, length, _)."""
+    """Fetch each planned (start, length) block pair and make one gap call on it."""
     no_count = 0
-    for start, length, _ in plan:
-        if not oracle(xv.sub(start, length), yv.sub(start, length), alpha, beta, rs):
+    for start, length in plan:
+        if not oracle(xv.fetch(start, length), yv.fetch(start, length), alpha, beta, rs):
             no_count += 1
     return ReductionOutcome(no_count == 0, no_count, len(plan))
 
 
-def _draw_blocks(n: int, levels: list[tuple[int, int]], rs: RandomStream):
-    """Uniform block choices, level-major, iteration-minor."""
+def _draw_blocks(n: int, levels: list[tuple[int, int]], rs: RandomStream) -> list[tuple[int, int]]:
+    """Uniform (start, length) block choices, level-major, iteration-minor.
+
+    One vectorized draw per level; the blocks are those of `BlockGrid(n, p)`.
+    """
     plan = []
     for p, iters in levels:
-        grid = BlockGrid(n, p)
-        m_p = grid.m
-        for _ in range(iters):
-            i = rs.uniform_index(m_p)
-            start, length = grid.block(i)
-            plan.append((start, length, p))
+        size = 1 << p
+        for i in rs.uniform_indices(ceil_div(n, size), iters):
+            start = i << p
+            plan.append((start, min(size, n - start)))
     return plan
 
 
@@ -267,11 +272,7 @@ def single_level_reduce(
             f"need alpha/3 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
     b, m, iters = single_level_plan(n, alpha, phi)
-    plan = []
-    for _ in range(iters):
-        i = rs.uniform_index(m)
-        start = i * b
-        plan.append((start, min(b, n - start), 0))
+    plan = [(i * b, min(b, n - i * b)) for i in rs.uniform_indices(m, iters)]
     return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs)
 
 
@@ -394,7 +395,7 @@ def gap_to_shifted(
     levels = level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi))
     plan = _draw_blocks(n, levels, rs)
     no_counts = [0] * batch.q
-    for start, length, _ in plan:
+    for start, length in plan:
         for j, yes in enumerate(oracle(batch.sub(start, length), phi, beta, psi, rs)):
             no_counts[j] += not yes
     return [ReductionOutcome(c <= 5, c, len(plan)) for c in no_counts]

@@ -4,6 +4,7 @@ import csv
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +276,20 @@ def test_parse_config_text():
     assert cfg.tester == ("main", "banded") and cfg.h is None
     assert cfg.delta == 0.2 and cfg.trials == 3 and cfg.seed == 11
     assert len(cfg.cells()) == 8
+
+
+def test_default_ladder_config():
+    path = Path(__file__).resolve().parent.parent / "configs" / "default_ladder.cfg"
+    assert parse_config_text(path.read_text(encoding="utf-8")) == GridConfig(
+        n=(1 << 14, 1 << 16, 1 << 18, 1 << 20),
+        k=(16, 64, 256),
+        c=(1.5, 2.0),
+        tester=("main",),
+        family=("random-edits",),
+        delta=0.1,
+        trials=200,
+        seed=1,
+    )
 
 
 def test_parse_config_rejects_unknown_tester():

@@ -109,6 +109,25 @@ def test_u64_block_matches_scalar():
     assert a.next_u64() == b.next_u64()  # streams stay aligned afterwards
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 131070, 2**63 + 1, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 50, 1000])
+def test_uniform_indices_match_scalar_draws(m, count):
+    # at m = 2^63 + 1 about half the draws are rejected and drawn again
+    a = RandomStream(31)
+    b = RandomStream(31)
+    got = a.uniform_indices(m, count)
+    assert got == [b.uniform_index(m) for _ in range(count)]
+    assert all(type(v) is int for v in got)
+    assert a._state == b._state
+    if m == 1:
+        assert a._state == RandomStream(31)._state
+
+
+def test_uniform_indices_rejects_empty_range():
+    with pytest.raises(ValueError):
+        RandomStream(1).uniform_indices(0, 5)
+
+
 def test_bulk_symbols_in_range():
     rs = RandomStream(8)
     syms = rs.symbols(1000, 7)

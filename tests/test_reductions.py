@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from gapedit.intmath import ceil_log2
+from gapedit import reductions
+from gapedit.intmath import ceil_div, ceil_log2
 from gapedit.metering import MeteredString, RandomStream
 from gapedit.reductions import (
     Batch,
@@ -65,6 +66,27 @@ def test_multilevel_plan_arithmetic():
 
 def test_level_plan_empty_when_rate_too_low():
     assert level_plan(64, 1, 65, 0) == []
+
+
+def test_multilevel_plan_and_reads_match_scalar_draws():
+    # n = 1000 is not a power of two, so the last block of levels p >= 4 is short
+    n, alpha, phi = 1000, 80, 4
+    rs = RandomStream(17)
+    plan, short = [], 0
+    for p, iters in level_plan(n, 10 * phi, alpha, ceil_log2(phi)):
+        for _ in range(iters):
+            start = rs.uniform_index(ceil_div(n, 1 << p)) << p
+            plan.append((start, min(1 << p, n - start)))
+            short += plan[-1][1] < 1 << p
+    assert short > 0
+    want = [i for start, length in plan for i in range(start, start + length)]
+    x, y = disjoint_pair(8, n)
+    xm, ym = MeteredString(x, log=True), MeteredString(y, log=True)
+    out = multilevel_reduce(
+        xm.view(), ym.view(), alpha, phi, phi, exact_gap_oracle, RandomStream(17)
+    )
+    assert out.call_count == len(plan) and not out.yes
+    assert xm.log == want and ym.log == want
 
 
 def test_preconditions_rejected():
@@ -156,6 +178,29 @@ def test_oracle_call_tally():
         assert exact_gap_oracle(xm.view(), ym.view(), 252, 63, RandomStream(1)) is False
         assert xm.count == ym.count == 80
     assert tally[0] == out.call_count + 4 == 11
+
+
+def test_equal_blocks_are_yes_without_a_dp(monkeypatch):
+    beta, length = 8, 200
+    x = rand_list(4, 300, 1 << 20)
+    y = list(x)
+    for i in range(beta + 1):
+        y[10 + 30 * i] += 1 << 20
+    assert ed_exact(x, y) == beta + 1
+    for xb, yb in ((x, y), (as_view(x), as_view(y))):
+        assert exact_gap_oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is False
+
+    def no_dp(*args):
+        raise AssertionError("equal blocks reached the banded DP")
+
+    monkeypatch.setattr(reductions, "gap_ed_banded", no_dp)
+    with pytest.raises(AssertionError):
+        exact_gap_oracle(x, y, 4 * beta, beta, RandomStream(1))
+    xm, ym = MeteredString(x), MeteredString(list(x))
+    xb, yb = xm.view().sub(50, length), ym.view().sub(50, length)
+    assert exact_gap_oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is True
+    assert xm.count == ym.count == length
+    assert exact_gap_oracle(x, list(x), 4 * beta, beta, RandomStream(1)) is True
 
 
 # ---------------------------------------------------------------------------
