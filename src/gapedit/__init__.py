@@ -42,6 +42,7 @@ from .reductions import (
     key_lemma_check,
     multilevel_reduce,
     oracle_call_tally,
+    per_block,
     per_member,
     shift_grid,
     shift_grid_spread,

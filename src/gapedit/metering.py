@@ -164,9 +164,9 @@ class MeteredString:
     def read_many(self, positions: Sequence[int]) -> list[int]:
         data = self._data
         n = len(data)
-        for p in positions:
-            if not 0 <= p < n:
-                raise IndexError(f"read at {p} out of bounds [0, {n})")
+        if positions and (min(positions) < 0 or max(positions) >= n):
+            p = next(p for p in positions if not 0 <= p < n)
+            raise IndexError(f"read at {p} out of bounds [0, {n})")
         self.count += len(positions)
         if self._log is not None:
             self._log.extend(positions)

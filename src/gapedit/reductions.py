@@ -11,16 +11,20 @@ block pair, x block first, and hand it to a pair oracle:
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, rs) -> bool
 
 The two reductions of the mutual recursion work on a `Batch` (q instances
-sharing one first string), return one outcome per member and take batch
-oracles, which answer one bool per member of the sub-batch they are given:
+sharing one first string) and return one outcome per member:
 
-- gap_to_shifted's oracle: fn(sub, phi, beta, psi, rs) -> list[bool], where
-  sub is the same block window of the common string and every member;
+- gap_to_shifted's oracle: fn(batch, plan, phi, beta, psi, rs) ->
+  list[list[bool]], one call per pass. The plan is the list of sampled
+  (start, length) blocks, level-major; each block stands for that window of
+  the common string and of every member. The answer holds one row per block,
+  in plan order, with one bool per member.
 - shifted_to_gap's oracle: fn(sub, alpha, 3*gamma, rs) -> list[bool], one
   call per x offset, where sub holds every (member, y offset) window,
   member-major.
 
-`per_member` lifts a pair oracle to the batch protocol.
+`per_member` lifts a pair oracle to the batch protocol of shifted_to_gap,
+and `per_block` lifts such a batch oracle to gap_to_shifted's plan protocol,
+one call per block window.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ class ParameterError(ValueError):
 
 GapOracle = Callable[[Sequence[int], Sequence[int], int, int, RandomStream], bool]
 BatchOracle = Callable[..., list[bool]]  # see the module docstring
+PlanOracle = Callable[..., list[list[bool]]]  # gap_to_shifted's; see the module docstring
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +145,11 @@ def single(xv: View, yv: View) -> Batch:
 def per_member(oracle: Callable[..., bool]) -> BatchOracle:
     """Lift a pair oracle to the batch protocol: one call per member, in order."""
     return lambda sub, *args: [oracle(sub.x, y, *args) for y in sub.ys]
+
+
+def per_block(oracle: BatchOracle) -> PlanOracle:
+    """Lift a batch oracle to a plan oracle: one call per planned window, in order."""
+    return lambda batch, plan, *args: [oracle(batch.sub(s, l), *args) for s, l in plan]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +381,7 @@ def gap_to_shifted(
     alpha: int,
     beta: int,
     phi: int,
-    oracle: BatchOracle,
+    oracle: PlanOracle,
     rs: RandomStream,
 ) -> list[ReductionOutcome]:
     """Reduce each gap instance of a batch to shifted-gap oracle calls on block pairs.
@@ -379,8 +389,9 @@ def gap_to_shifted(
     Requires phi >= beta >= psi where psi = floor(112*beta*phi*ceil(log2 n)/alpha).
     Samples levels ceil(log2(3*phi)) .. floor(log2(rho*n)) at rate
     rho = 84*phi/alpha, drawing every block before the first oracle call; the
-    blocks are shared by the batch, and a member is YES iff at most 5 of its
-    calls said NO. With a correct oracle both error directions are at most 1/e.
+    blocks are shared by the batch and go to the oracle in one call, and a
+    member is YES iff at most 5 of its blocks answered NO. With a correct
+    oracle both error directions are at most 1/e.
     """
     n = len(batch.x)
     if phi < 1 or phi < beta or beta < 0:
@@ -395,8 +406,10 @@ def gap_to_shifted(
     levels = level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi))
     plan = _draw_blocks(n, levels, rs)
     no_counts = [0] * batch.q
-    for start, length in plan:
-        for j, yes in enumerate(oracle(batch.sub(start, length), phi, beta, psi, rs)):
+    rows = oracle(batch, plan, phi, beta, psi, rs)
+    assert len(rows) == len(plan), "the oracle answers one row per planned block"
+    for row in rows:
+        for j, yes in enumerate(row):
             no_counts[j] += not yes
     return [ReductionOutcome(c <= 5, c, len(plan)) for c in no_counts]
 

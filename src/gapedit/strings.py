@@ -81,14 +81,16 @@ class View:
         return src[self.start + i]
 
     def read_many(self, positions: Sequence[int]) -> list[int]:
+        length = self.length
+        if positions and (min(positions) < 0 or max(positions) >= length):
+            p = next(p for p in positions if not 0 <= p < length)
+            raise IndexError(f"view read at {p}, length {length}")
+        if self.start:
+            positions = [self.start + p for p in positions]
         src = self.source
-        base = self.start
-        for p in positions:
-            if not 0 <= p < self.length:
-                raise IndexError(f"view read at {p}, length {self.length}")
         if hasattr(src, "read_many"):
-            return src.read_many([base + p for p in positions])
-        return [src[base + p] for p in positions]
+            return src.read_many(positions)
+        return [src[p] for p in positions]
 
     def fetch(self, start: int = 0, length: int | None = None) -> list[int]:
         """Materialize a sub-range as a list (charged if the source is metered)."""

@@ -3,8 +3,9 @@
 The stack, bottom to top:
 
 - ``equality_test``: the zero-gap sampler.
-- ``batched_shifted_h0``: shifted tester with gamma=0 backed by a shared
-  fingerprint sample and a set of the common string's window fingerprints.
+- ``batched_shifted_h0``: shifted tester with gamma=0 on every planned
+  window of a batch, backed by a shared fingerprint sample per window and a
+  set of the common string's window fingerprints.
 - ``batched_gap_h1`` / ``batched_shifted_h1`` / ``batched_gap_h2``: the
   specialized shallow recursions; batches share one sample plan.
 - ``baseline_gap`` / ``baseline_shifted``: the plain mutual recursion.
@@ -16,7 +17,9 @@ The stack, bottom to top:
 Every tier of the mutual recursion runs the two batch reductions of
 ``reductions`` through one path per direction. ``_batched_gap_via_shifted``
 is the one gap->shifted pass (leaf error 1/(2 * planned calls)), which h1,
-h2, the baseline and main's recursion tier amplify with ``_majority_votes``;
+h2, the baseline and main's recursion tier amplify with ``_majority_votes``
+(h1 hands the whole plan of a pass to ``batched_shifted_h0``; the others
+decide block by block through ``per_block``);
 ``_batched_shifted_via_gap`` is the one shifted->gap pass (per-call error
 delta/(2 * grid calls)), which the h=1 and h=2 shifted paths, the baseline
 and main's reduce tier call with their own grid spread. The one-instance
@@ -29,8 +32,10 @@ their read sequences depend only on (n, parameters, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from math import exp, isqrt, log
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .intmath import ceil_div, ceil_log2, iroot, isqrt_ceil
 from .metering import RandomStream
@@ -44,6 +49,7 @@ from .reductions import (
     gap_to_shifted_call_count,
     level_plan,
     multilevel_reduce,
+    per_block,
     per_member,
     shift_grid,
     shift_grid_spread,
@@ -136,38 +142,87 @@ def h0_spread(q: int, beta: int) -> int:
     return min(isqrt_ceil(ceil_div(q + beta, q)), 1 + beta)
 
 
-def batched_shifted_h0(
-    batch: Batch, alpha: int, beta: int, delta: float, rs: RandomStream
-) -> list[bool]:
-    """Shifted gap tester with gamma = 0 for a batch sharing the first string.
+def _h0_rows(
+    batch: Batch, sampled: list[tuple[int, list[int]]], xs: list[int], ys_off: list[int]
+) -> list[list[bool]]:
+    """Verdict rows of sampled windows, given as (start, sample) pairs.
 
-    Builds the offset grid, draws one shared position sample, collects the
-    common string's window fingerprints in a set, and answers each instance
-    YES iff one of its window fingerprints is a member. Each answer errs with
-    probability at most delta; exact window equality always YES.
+    Each string is read with one read_many over every window, window-major,
+    then offset, then sample; every read comes before any membership test,
+    so the reads stay non-adaptive.
     """
-    n = len(batch.x)
+
+    def fingerprints(view: View, offsets: list[int]) -> list[list[tuple[int, ...]]]:
+        got = view.read_many(
+            [s + off + p for s, sample in sampled for off in offsets for p in sample]
+        )
+        per_window, i = [], 0
+        for _, sample in sampled:
+            m = len(sample)
+            per_window.append([tuple(got[j : j + m]) for j in range(i, i + len(offsets) * m, m)])
+            i += len(offsets) * m
+        return per_window
+
+    commons = [set(fps) for fps in fingerprints(batch.x, xs)]
+    member_fps = [fingerprints(y, ys_off) for y in batch.ys]
+    return [
+        [any(fp in common for fp in fps[w]) for fps in member_fps]
+        for w, common in enumerate(commons)
+    ]
+
+
+def batched_shifted_h0(
+    batch: Batch,
+    windows: Sequence[tuple[int, int]],
+    alpha: int,
+    beta: int,
+    delta: float,
+    rs: RandomStream,
+) -> list[list[bool]]:
+    """Shifted gap tester with gamma = 0 on every window of a batch sharing the first string.
+
+    Each (start, length) window of the common string and of every member is
+    one instance; the answer holds one row per window, in order, with one
+    bool per member. A window builds the offset grid, shares one position
+    sample among its members, collects the common string's window
+    fingerprints in a set, and answers a member YES iff one of its window
+    fingerprints is in it. Each answer errs with probability at most delta;
+    exact window equality always answers YES. A window no longer than beta
+    is decided exactly by exact_shifted_oracle.
+
+    Consecutive windows of equal length form a run whose samples come from
+    one draw, cut into one chunk per window. The sampled windows between two
+    exact ones are read with one read_many per string. The draws, the tally
+    and, when the common string and the member read different sources
+    (q = 1), each source's read sequence equal those of deciding the windows
+    one at a time, in order.
+    """
     q = batch.q
     if beta < 0 or alpha < beta:
         raise ParameterError("need alpha >= beta >= 0")
-    if n <= beta:
-        return [exact_shifted_oracle(batch.x, y, alpha, beta, 0, rs) for y in batch.ys]
-    spread = h0_spread(q, beta)
-    xs, ys_off = shift_grid(beta, 0, spread)
-    _tally(len(xs) * len(ys_off) * q)
-    n_prime = n - beta
-    count = len(xs) * len(ys_off) * q + 1
-    m = min(n_prime, int(-(-(n_prime / (1 + alpha)) * log(count / delta) // 1)))
-    m = max(m, 1)
-    sample = [rs.uniform_index(n_prime) for _ in range(m)]
-
-    common = {tuple(batch.x.sub(x_off, n_prime).read_many(sample)) for x_off in xs}
-    verdicts = []
-    for y in batch.ys:
-        # every fingerprint is read before any membership test: reads stay non-adaptive
-        fps = [tuple(y.sub(y_off, n_prime).read_many(sample)) for y_off in ys_off]
-        verdicts.append(any(fp in common for fp in fps))
-    return verdicts
+    xs, ys_off = shift_grid(beta, 0, h0_spread(q, beta))
+    calls = len(xs) * len(ys_off) * q
+    rows: list[list[bool]] = []
+    sampled: list[tuple[int, list[int]]] = []  # drawn, not yet read
+    for length, run in groupby(windows, key=itemgetter(1)):
+        starts = [start for start, _ in run]
+        if length <= beta:
+            if sampled:
+                rows += _h0_rows(batch, sampled, xs, ys_off)
+                sampled = []
+            for s in starts:
+                sub = batch.sub(s, length)
+                rows.append([exact_shifted_oracle(sub.x, y, alpha, beta, 0, rs) for y in sub.ys])
+            continue
+        _tally(calls * len(starts))
+        n_prime = length - beta
+        m = min(n_prime, int(-(-(n_prime / (1 + alpha)) * log((calls + 1) / delta) // 1)))
+        m = max(m, 1)
+        draws = rs.uniform_indices(n_prime, m * len(starts))
+        sampled += [(s, draws[w * m : (w + 1) * m]) for w, s in enumerate(starts)]
+    if sampled:
+        rows += _h0_rows(batch, sampled, xs, ys_off)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +234,10 @@ def h1_gate(n: int, alpha: int, beta: int) -> bool:
     return beta * beta * 336 * ceil_log2(n) <= alpha
 
 
-ShiftedBatchFn = Callable[[Batch, int, int, int, float, RandomStream], list[bool]]
+# (batch, plan, alpha, beta, gamma, delta, rs) -> one row of member verdicts per planned block
+ShiftedPlanFn = Callable[
+    [Batch, list[tuple[int, int]], int, int, int, float, RandomStream], list[list[bool]]
+]
 GapBatchFn = Callable[[Batch, int, int, float, RandomStream], list[bool]]
 
 
@@ -188,19 +246,19 @@ def _batched_gap_via_shifted(
     alpha: int,
     beta: int,
     phi: int,
-    shifted_fn: ShiftedBatchFn,
+    shifted_fn: ShiftedPlanFn,
     rs: RandomStream,
 ) -> list[bool]:
     """One unamplified pass of the gap->shifted reduction over a whole batch.
 
-    Every sampled block pair goes to shifted_fn at error 1/(2 * planned
-    calls); the block choices are shared across the batch, so sub-calls stay
-    batched.
+    The pass's whole plan of sampled blocks goes to shifted_fn in one call,
+    at error 1/(2 * planned calls) per block; the block choices are shared
+    across the batch, so sub-calls stay batched.
     """
     delta_leaf = 1.0 / (2 * max(1, gap_to_shifted_call_count(len(batch.x), alpha, phi)))
 
-    def oracle(sub, a, b, g, stream):
-        return shifted_fn(sub, a, b, g, delta_leaf, stream)
+    def oracle(sub, plan, a, b, g, stream):
+        return shifted_fn(sub, plan, a, b, g, delta_leaf, stream)
 
     return [out.yes for out in gap_to_shifted(batch, alpha, beta, phi, oracle, rs)]
 
@@ -210,7 +268,7 @@ def _majority_votes(
     alpha: int,
     beta: int,
     phi: int,
-    shifted_fn: ShiftedBatchFn,
+    shifted_fn: ShiftedPlanFn,
     delta: float,
     rs: RandomStream,
 ) -> list[bool]:
@@ -251,9 +309,14 @@ def _each(tester, make_instance, cfg: TesterConfig):
     make_instance is GapInstance or ShiftedInstance.
     """
 
+    cfgs: dict[float, TesterConfig] = {}  # one config per delta, not one per call
+
     def pair(xv: View, yv: View, *args) -> bool:
         *thresholds, delta, stream = args
-        return tester(make_instance(xv, yv, *thresholds), replace(cfg, delta=delta), stream)
+        sub_cfg = cfgs.get(delta)
+        if sub_cfg is None:
+            sub_cfg = cfgs[delta] = replace(cfg, delta=delta)
+        return tester(make_instance(xv, yv, *thresholds), sub_cfg, stream)
 
     return per_member(pair)
 
@@ -276,9 +339,9 @@ def batched_gap_h1(
             f"n={n} alpha={alpha} beta={beta}"
         )
 
-    def shifted_fn(sub, a, b, g, d, stream):
+    def shifted_fn(sub, plan, a, b, g, d, stream):
         assert g == 0, "the gate guarantees a zero shift threshold"
-        return batched_shifted_h0(sub, a, b, d, stream)
+        return batched_shifted_h0(sub, plan, a, b, d, stream)
 
     return _majority_votes(batch, alpha, beta, beta, shifted_fn, delta, rs)
 
@@ -307,7 +370,7 @@ def batched_shifted_h1(
     if not (alpha >= beta >= gamma >= 0):
         raise ParameterError("need alpha >= beta >= gamma >= 0")
     if gamma == 0:
-        return batched_shifted_h0(batch, alpha, beta, delta, rs)
+        return batched_shifted_h0(batch, [(0, n)], alpha, beta, delta, rs)[0]
     if not h1_shifted_gate(n, alpha, gamma):
         raise ParameterError(
             f"h=1 shifted gate gamma^2 <= alpha/(3024 ceil(log2 n)) fails: "
@@ -351,7 +414,7 @@ def batched_gap_h2(
     assert phi >= beta, "the gate forces phi >= beta"
     psi = shifted_threshold(n, alpha, beta, phi)
     assert psi < beta and h1_shifted_gate(n, phi, psi), "derived thresholds stay in regime"
-    return _majority_votes(batch, alpha, beta, phi, batched_shifted_h1, delta, rs)
+    return _majority_votes(batch, alpha, beta, phi, per_block(batched_shifted_h1), delta, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +465,7 @@ def baseline_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool
         )
     if beta == 0:
         return equality_test(inst.x, inst.y, alpha, cfg.delta, rs)
-    shifted_fn = _each(baseline_shifted, ShiftedInstance, replace(cfg, h=h - 1))
+    shifted_fn = per_block(_each(baseline_shifted, ShiftedInstance, replace(cfg, h=h - 1)))
     batch = single(inst.x, inst.y)
     return _majority_votes(batch, alpha, beta, beta, shifted_fn, cfg.delta, rs)[0]
 
@@ -502,7 +565,7 @@ def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
         return batched_gap_h2(single(inst.x, inst.y), alpha, beta, cfg.delta, rs)[0]
     if tier[0] == "recursion":
         sub_cfg = replace(cfg, h=None, h_max=tier[1] - 1)
-        shifted_fn = _each(main_shifted, ShiftedInstance, sub_cfg)
+        shifted_fn = per_block(_each(main_shifted, ShiftedInstance, sub_cfg))
         batch = single(inst.x, inst.y)
         return _majority_votes(batch, alpha, beta, beta, shifted_fn, cfg.delta, rs)[0]
     assert tier[0] == "multilevel"
@@ -539,7 +602,8 @@ def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> 
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
     tier = plan_shifted_dispatch(n, alpha, beta, gamma, cfg)
     if tier[0] == "h0":
-        return batched_shifted_h0(single(inst.x, inst.y), alpha, beta, cfg.delta, rs)[0]
+        [[yes]] = batched_shifted_h0(single(inst.x, inst.y), [(0, n)], alpha, beta, cfg.delta, rs)
+        return yes
     if tier[0] == "h1s":
         return batched_shifted_h1(
             single(inst.x, inst.y), alpha, beta, gamma, cfg.delta, rs

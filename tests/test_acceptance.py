@@ -24,6 +24,7 @@ from gapedit.reductions import (
     gap_to_shifted,
     key_lemma_check,
     multilevel_reduce,
+    per_block,
     per_member,
     single_level_reduce,
 )
@@ -210,8 +211,9 @@ def _certify_grid():
 
     def h0(alpha, beta, q, delta):
         return lambda xm, ym, rs: batched_shifted_h0(
-            Batch(xm.view(), tuple(ym.view() for _ in range(q))), alpha, beta, delta, rs
-        )
+            Batch(xm.view(), tuple(ym.view() for _ in range(q))), [(0, len(xm))], alpha, beta,
+            delta, rs,
+        )[0]
 
     def h1(alpha, beta, q, delta):
         return lambda xm, ym, rs: batched_gap_h1(
@@ -307,7 +309,8 @@ def test_criterion_5_gap_to_shifted_error_rates():
     for t in range(trials):
         x, y = _disjoint(60_000 + 2 * t, n)  # ED = n > alpha
         [out] = gap_to_shifted(
-            single(as_view(x), as_view(y)), alpha, beta, beta, per_member(exact_shifted_oracle),
+            single(as_view(x), as_view(y)), alpha, beta, beta,
+            per_block(per_member(exact_shifted_oracle)),
             RandomStream(t),
         )
         false_yes += out.yes
@@ -318,7 +321,8 @@ def test_criterion_5_gap_to_shifted_error_rates():
     for t in range(trials):
         x, y = _planted_yes(62_000 + t, n, beta)
         [out] = gap_to_shifted(
-            single(as_view(x), as_view(y)), alpha, beta, beta, per_member(exact_shifted_oracle),
+            single(as_view(x), as_view(y)), alpha, beta, beta,
+            per_block(per_member(exact_shifted_oracle)),
             RandomStream(t),
         )
         false_no += not out.yes
@@ -402,14 +406,15 @@ def test_criterion_8_batched_common_string_reads():
 
     xm = MeteredString(x)
     batch = Batch(xm.view(), tuple(as_view(y) for y in ys))
-    batched_shifted_h0(batch, alpha, beta, delta, RandomStream(1))
+    batched_shifted_h0(batch, [(0, n)], alpha, beta, delta, RandomStream(1))
     batched_reads = xm.count
 
     single_reads = 0
     for rep in range(2):
         xm1 = MeteredString(x)
         batched_shifted_h0(
-            Batch(xm1.view(), (as_view(ys[rep]),)), alpha, beta, delta, RandomStream(2 + rep)
+            Batch(xm1.view(), (as_view(ys[rep]),)), [(0, n)], alpha, beta, delta,
+            RandomStream(2 + rep),
         )
         single_reads += xm1.count
 

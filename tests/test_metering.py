@@ -70,6 +70,35 @@ def test_view_reads_charge_meter():
     assert raw.fetch() == list(range(4, 12))  # no meter, no charge
 
 
+def test_read_many_bounds_name_the_first_bad_position():
+    ms = MeteredString(list(range(10)), log=True)
+    for positions, bad in (([3, -1, 10], -1), ([0, 10, -2], 10), ([9, 10], 10)):
+        with pytest.raises(IndexError, match=rf"read at {bad} out of bounds \[0, 10\)"):
+            ms.read_many(positions)
+    assert ms.count == 0 and ms.log == []  # a refused call charges nothing
+    assert ms.read_many([]) == [] and ms.read_many([9, 0, 9]) == [9, 0, 9]
+    assert ms.count == 3 and ms.log == [9, 0, 9]
+
+
+def test_view_read_many_bounds_are_the_view_s_own():
+    ms = MeteredString(list(range(16)), log=True)
+    v = View(ms, 4, 5)
+    # 5 and -1 fall inside the source (9 and 3) but outside the view
+    for positions, bad in (([0, 5], 5), ([2, -1, 7], -1), ([4, 6, -3], 6)):
+        with pytest.raises(IndexError, match=rf"view read at {bad}, length 5"):
+            v.read_many(positions)
+    assert ms.count == 0
+    assert v.read_many([4, 0, 4]) == [8, 4, 8] and ms.log == [8, 4, 8]
+    whole = ms.view()
+    assert whole.read_many([15, 0]) == [15, 0] and ms.log == [8, 4, 8, 15, 0]
+    with pytest.raises(IndexError, match="view read at 16, length 16"):
+        whole.read_many([0, 16])
+    raw = View(list(range(16)), 4, 5)
+    assert raw.read_many([0, 4]) == [4, 8]
+    with pytest.raises(IndexError, match="view read at 5, length 5"):
+        raw.read_many([5])
+
+
 def test_uniform_index_basics():
     rs = RandomStream(123)
     assert [rs.uniform_index(1) for _ in range(5)] == [0] * 5

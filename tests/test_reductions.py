@@ -19,6 +19,7 @@ from gapedit.reductions import (
     level_plan,
     multilevel_reduce,
     oracle_call_tally,
+    per_block,
     per_member,
     shift_grid,
     shift_grid_spread,
@@ -262,7 +263,7 @@ def test_shifted_threshold_values():
     # which exceeds beta, so the reduction must reject these parameters
     assert shifted_threshold(1 << 16, 8192, 16, 16) == 56
     x = as_view([0] * (1 << 16))
-    oracle = per_member(exact_shifted_oracle)
+    oracle = per_block(per_member(exact_shifted_oracle))
     with pytest.raises(ParameterError):
         gap_to_shifted(single(x, x), 8192, 16, 16, oracle, RandomStream(1))
     # with a much larger gap the threshold collapses to a usable value
@@ -272,8 +273,8 @@ def test_shifted_threshold_values():
 def test_gap_to_shifted_equal_strings():
     x = rand_list(12, 4096, 1 << 16)
     [out] = gap_to_shifted(
-        single(as_view(x), as_view(list(x))), 2048, 1, 1, per_member(exact_shifted_oracle),
-        RandomStream(5),
+        single(as_view(x), as_view(list(x))), 2048, 1, 1,
+        per_block(per_member(exact_shifted_oracle)), RandomStream(5),
     )
     assert out.yes and out.no_count == 0
 
@@ -287,7 +288,8 @@ def test_gap_to_shifted_error_rates():
     trials = 150
     for seed in range(trials):
         [out] = gap_to_shifted(
-            single(xv, yv), alpha, 1, 1, per_member(exact_shifted_oracle), RandomStream(seed)
+            single(xv, yv), alpha, 1, 1, per_block(per_member(exact_shifted_oracle)),
+            RandomStream(seed),
         )
         false_yes += out.yes
     assert false_yes / trials <= 1 / 2.718281828 + 0.08
@@ -298,8 +300,8 @@ def test_gap_to_shifted_error_rates():
     false_no = 0
     for seed in range(trials):
         [out] = gap_to_shifted(
-            single(as_view(x2), as_view(y2)), alpha, 1, 1, per_member(exact_shifted_oracle),
-            RandomStream(seed),
+            single(as_view(x2), as_view(y2)), alpha, 1, 1,
+            per_block(per_member(exact_shifted_oracle)), RandomStream(seed),
         )
         false_no += not out.yes
     assert false_no / trials <= 1 / 2.718281828 + 0.08
@@ -309,9 +311,39 @@ def test_gap_to_shifted_call_count_matches():
     n, alpha, phi = 4096, 2048, 1
     [out] = gap_to_shifted(
         single(as_view([0] * n), as_view([0] * n)), alpha, 1, phi,
-        per_member(exact_shifted_oracle), RandomStream(0),
+        per_block(per_member(exact_shifted_oracle)), RandomStream(0),
     )
     assert out.call_count == gap_to_shifted_call_count(n, alpha, phi)
+
+
+def test_per_block_keeps_one_pair_call_per_window():
+    # the plan oracle protocol with per_block(per_member(...)) makes the calls
+    # of one oracle call per block: every planned window, member by member, in order
+    n, alpha, beta, phi = 1000, 2048, 1, 1
+    psi = shifted_threshold(n, alpha, beta, phi)
+    rs = RandomStream(6)
+    plan = []
+    for p, iters in level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi)):
+        for _ in range(iters):
+            start = rs.uniform_index(ceil_div(n, 1 << p)) << p
+            plan.append((start, min(1 << p, n - start)))
+    x = as_view(rand_list(30, n, 1 << 16))
+    ys = (as_view(rand_list(31, n, 1 << 16)), as_view(rand_list(32, n, 1 << 16)))
+    calls = []
+
+    def pair(xv, yv, a, b, g, stream):
+        calls.append((xv.source, xv.start, len(xv), yv.source, yv.start, len(yv), a, b, g))
+        return yv.source is ys[0].source
+
+    oracle = per_block(per_member(pair))
+    outs = gap_to_shifted(Batch(x, ys), alpha, beta, phi, oracle, RandomStream(6))
+    assert calls == [
+        (x.source, s, l, y.source, s, l, phi, beta, psi) for s, l in plan for y in ys
+    ]
+    assert [(o.yes, o.no_count, o.call_count) for o in outs] == [
+        (True, 0, len(plan)),
+        (len(plan) <= 5, len(plan), len(plan)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +470,7 @@ def _mixed_batch(n, shift):
 
 def test_gap_to_shifted_batch_matches_single_calls():
     batch = _mixed_batch(4096, 2)
-    oracle = per_member(exact_shifted_oracle)
+    oracle = per_block(per_member(exact_shifted_oracle))
     for seed in range(3):
         got = gap_to_shifted(batch, 2048, 1, 1, oracle, RandomStream(seed))
         want = [

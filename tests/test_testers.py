@@ -9,9 +9,13 @@ from gapedit.intmath import ceil_log2
 from gapedit.metering import MeteredString, RandomStream
 from gapedit.reductions import (
     ParameterError,
+    _tally,
     exact_shifted_oracle,
+    gap_to_shifted,
     oracle_call_tally,
+    per_block,
     per_member,
+    shift_grid,
     shift_grid_spread,
     shifted_threshold,
     shifted_to_gap,
@@ -120,14 +124,17 @@ def test_h0_identical_batch_all_yes():
     x = rand_sym(3, 256)
     batch = Batch(as_view(x), tuple(as_view(list(x)) for _ in range(6)))
     for seed in range(5):
-        assert batched_shifted_h0(batch, 32, 8, 0.1, RandomStream(seed)) == [True] * 6
+        [row] = batched_shifted_h0(batch, [(0, 256)], 32, 8, 0.1, RandomStream(seed))
+        assert row == [True] * 6
 
 
 def test_h0_rotation_yes():
     x = list(range(256))
     y = x[-3:] + x[:-3]
     for seed in range(20):
-        assert batched_shifted_h0(single(as_view(x), as_view(y)), 16, 4, 0.1, RandomStream(seed))[0]
+        assert batched_shifted_h0(
+            single(as_view(x), as_view(y)), [(0, 256)], 16, 4, 0.1, RandomStream(seed)
+        )[0][0]
 
 
 def test_h0_planted_no_rate():
@@ -136,7 +143,9 @@ def test_h0_planted_no_rate():
     trials = 300
     for t in range(trials):
         x, y = disjoint(2 * t, n)
-        if batched_shifted_h0(single(as_view(x), as_view(y)), alpha, beta, delta, RandomStream(t))[0]:
+        if batched_shifted_h0(
+            single(as_view(x), as_view(y)), [(0, n)], alpha, beta, delta, RandomStream(t)
+        )[0][0]:
             wrong += 1
     assert 1 - wrong / trials >= 1 - delta - 0.05
 
@@ -147,13 +156,15 @@ def test_h0_mixed_batch():
     y_rot = x[-2:] + x[:-2]
     _, y_no = disjoint(50, 256)
     batch = Batch(as_view(x), (as_view(y_eq), as_view(y_rot), as_view(y_no)))
-    got = batched_shifted_h0(batch, 16, 4, 0.05, RandomStream(8))
+    [got] = batched_shifted_h0(batch, [(0, 256)], 16, 4, 0.05, RandomStream(8))
     assert got[0] and got[1] and not got[2]
 
 
 def test_h0_degenerate_short():
     x = as_view([1, 2, 3])
-    out = batched_shifted_h0(Batch(x, (as_view([7, 8, 9]),)), 12, 4, 0.1, RandomStream(1))
+    [out] = batched_shifted_h0(
+        Batch(x, (as_view([7, 8, 9]),)), [(0, 3)], 12, 4, 0.1, RandomStream(1)
+    )
     assert out == [True]  # shift budget >= n empties the windows
 
 
@@ -182,11 +193,122 @@ def test_h0_batched_vs_unbatched_pipeline_rates():
         for t in range(trials):
             x, y = make_pair(t)
             h0_yes += batched_shifted_h0(
-                single(as_view(x), as_view(y)), alpha, beta, delta, RandomStream(t)
-            )[0]
+                single(as_view(x), as_view(y)), [(0, n)], alpha, beta, delta, RandomStream(t)
+            )[0][0]
             pipe_yes += pipeline(as_view(x), as_view(y), RandomStream(t))
         assert abs(h0_yes - pipe_yes) / trials <= 0.07
         assert (h0_yes / trials > 0.9) == expect
+
+
+def _h0_one_window(batch, alpha, beta, delta, rs):
+    """Reference: the h = 0 tester deciding one window, by scalar draws and one
+    read_many per offset. batched_shifted_h0 must match it window by window."""
+    n = len(batch.x)
+    q = batch.q
+    if n <= beta:
+        return [exact_shifted_oracle(batch.x, y, alpha, beta, 0, rs) for y in batch.ys]
+    xs, ys_off = shift_grid(beta, 0, h0_spread(q, beta))
+    _tally(len(xs) * len(ys_off) * q)
+    n_prime = n - beta
+    count = len(xs) * len(ys_off) * q + 1
+    m = min(n_prime, int(-(-(n_prime / (1 + alpha)) * math.log(count / delta) // 1)))
+    m = max(m, 1)
+    sample = [rs.uniform_index(n_prime) for _ in range(m)]
+    common = {tuple(batch.x.sub(x_off, n_prime).read_many(sample)) for x_off in xs}
+    verdicts = []
+    for y in batch.ys:
+        fps = [tuple(y.sub(y_off, n_prime).read_many(sample)) for y_off in ys_off]
+        verdicts.append(any(fp in common for fp in fps))
+    return verdicts
+
+
+def _h0_pass(plan_fn, make_batch, alpha, beta, phi, delta, seed):
+    """(plan, rows, tally, final stream state, strings) of one gap->shifted pass
+    whose blocks are decided by plan_fn."""
+    batch, strings = make_batch()
+    rs = RandomStream(seed)
+    seen = []
+
+    def oracle(sub, plan, a, b, g, stream):
+        rows = plan_fn(sub, plan, a, b, delta, stream)
+        seen.append((plan, rows))
+        return rows
+
+    with oracle_call_tally() as box:
+        gap_to_shifted(batch, alpha, beta, phi, oracle, rs)
+    [(plan, rows)] = seen
+    return plan, rows, box[0], rs._state, strings
+
+
+def _h0_contents(n):
+    x = rand_sym(40, n, 8)
+    y_near = list(x)
+    for i in range(0, n, 97):
+        y_near[i] = (y_near[i] + 1) % 8
+    return x, [y_near, rand_sym(41, n, 8), x[5:] + x[:5]]
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_h0_plan_rows_match_window_by_window(q):
+    # n = 1001: every level's last block is short, and at beta = phi = 9 the
+    # last block of level 5 (length 9) is no longer than beta, so it takes the
+    # exact path. Level 5 windows (length 32, sample 15 of 23), level 6 windows
+    # (64: 35 of 55; the short 41: 20 of 32) give runs with different sample
+    # sizes, so a run split that ignores a length change, or chunks cut at
+    # m +- 1, change the draws.
+    n, alpha, beta, phi, delta = 1001, 10080, 9, 9, 0.1
+    x, ys = _h0_contents(n)
+
+    def make_batch():
+        xm = MeteredString(x, log=True)
+        yms = [MeteredString(y, log=True) for y in ys[:q]]
+        if q == 3:  # the third member shares the first one's source
+            yms[2] = yms[0]
+        return Batch(xm.view(), tuple(ym.view() for ym in yms)), (xm, *yms)
+
+    exact_windows = 0
+    for seed in range(40):
+        got = _h0_pass(batched_shifted_h0, make_batch, alpha, beta, phi, delta, seed)
+        want = _h0_pass(per_block(_h0_one_window), make_batch, alpha, beta, phi, delta, seed)
+        assert got[:4] == want[:4]
+        plan, rows = got[0], got[1]
+        assert len(rows) == len(plan) and all(len(row) == q for row in rows)
+        exact_windows += sum(length <= beta for _, length in plan)
+        for new, old in zip(got[4], want[4]):
+            assert new.count == old.count
+            if q == 1:
+                assert new.log == old.log
+    assert exact_windows > 0
+
+
+def test_h0_hand_made_windows_match_window_by_window():
+    # equal lengths apart are separate runs; windows of length 9 and 1 are
+    # exact, and a length-10 window has a one-position sample space
+    windows = [
+        (0, 32), (32, 32), (990, 11), (5, 9), (0, 1), (991, 10), (100, 64), (200, 64), (300, 32)
+    ]
+    x, ys = _h0_contents(1001)
+    for q in (1, 2):
+        results = []
+        for plan_fn in (batched_shifted_h0, per_block(_h0_one_window)):
+            xm = MeteredString(x, log=True)
+            yms = [MeteredString(y, log=True) for y in ys[:q]]
+            batch = Batch(xm.view(), tuple(ym.view() for ym in yms))
+            rs = RandomStream(3)
+            with oracle_call_tally() as box:
+                rows = plan_fn(batch, windows, 9, 9, 0.1, rs)
+            results.append((rows, box[0], rs._state, xm.log, [ym.log for ym in yms]))
+        assert results[0] == results[1]
+        assert [row[0] for row in results[0][0][3:5]] == [True, True]  # ED <= length <= beta
+
+
+def test_h0_rejects_bad_thresholds_before_any_read():
+    xm = MeteredString([1, 2, 3, 4])
+    batch = single(xm.view(), xm.view())
+    for alpha, beta in ((3, 4), (4, -1)):
+        with pytest.raises(ParameterError):
+            batched_shifted_h0(batch, [(0, 4)], alpha, beta, 0.1, RandomStream(1))
+    assert xm.count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +409,7 @@ def test_h1_shifted_zero_gamma_delegates_bitwise():
         xm, ym = MeteredString(x, log=True), MeteredString(y, log=True)
         batch = single(xm.view(), ym.view())
         if call_h0:
-            batched_shifted_h0(batch, 64, 8, 0.1, RandomStream(5))
+            batched_shifted_h0(batch, [(0, n)], 64, 8, 0.1, RandomStream(5))
         else:
             batched_shifted_h1(batch, 64, 8, 0, 0.1, RandomStream(5))
         plans.append((tuple(xm.log), tuple(ym.log)))
@@ -571,7 +693,7 @@ def test_main_gap_recursion_plumbing():
     x = rand_sym(16, n, 1 << 30)
     inst = GapInstance(as_view(x), as_view(list(x)), 4096, 1)
     # one depth-3 pass: main_shifted leaves with recursion depth <= 2
-    shifted_fn = _each(main_shifted, ShiftedInstance, TesterConfig(delta=0.3, h_max=2))
+    shifted_fn = per_block(_each(main_shifted, ShiftedInstance, TesterConfig(delta=0.3, h_max=2)))
     batch = single(inst.x, inst.y)
     assert _batched_gap_via_shifted(batch, 4096, 1, 1, shifted_fn, RandomStream(2)) == [True]
     x2, y2 = disjoint(90, n, 1 << 30)
