@@ -1,8 +1,8 @@
-"""Refactor safety net: committed grid CSVs and a pinned dispatch table.
+"""Refactor safety net: committed grid CSVs and pinned gap and shifted dispatch tables.
 
 The files under tests/golden/ were written by the code they guard. A change
 that alters a random draw, a metered read, an oracle-call count, a verdict,
-a dispatch tier or an UnsupportedRegimeError.max_beta shows up here as a
+a dispatch tier or an UnsupportedRegimeError's max_beta or max_gamma shows up here as a
 byte difference. Rewrite them (only for an intended change, said so in
 CHANGES.md) with:
 
@@ -19,7 +19,12 @@ import pytest
 from gapedit.intmath import ceil_log2, iroot
 from gapedit.harness import CSV_COLUMNS, GridConfig, grid_csv_text
 from gapedit.reductions import ParameterError
-from gapedit.testers import TesterConfig, UnsupportedRegimeError, plan_gap_dispatch
+from gapedit.testers import (
+    TesterConfig,
+    UnsupportedRegimeError,
+    plan_gap_dispatch,
+    plan_shifted_dispatch,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,6 +162,45 @@ def test_pinned_gap_dispatch(n, h):
     assert dispatch_rows(n, h) == pinned
 
 
+# ---------------------------------------------------------------------------
+# Shifted dispatch table
+# ---------------------------------------------------------------------------
+
+
+def _gammas(n: int, alpha: int) -> list[int]:
+    """Small gammas, both sides of alpha // 3, and of the depth-1 and depth-2 shifted gates."""
+    L = ceil_log2(n)
+    edges = [isqrt(alpha // (3024 * L)), iroot(3, alpha * alpha // (1008 * L) ** 3)]
+    out = {0, 1, 2, alpha // 3, alpha // 3 + 1}
+    out |= {e + d for e in edges for d in (-1, 0, 1)}
+    return sorted(g for g in out if 0 <= g <= alpha + 1)
+
+
+def shifted_dispatch_outcome(n: int, alpha: int, beta: int, gamma: int) -> str:
+    try:
+        tier = plan_shifted_dispatch(n, alpha, beta, gamma, TesterConfig())
+    except UnsupportedRegimeError as exc:
+        return f"unsupported max_gamma={exc.max_gamma}"
+    except ParameterError:
+        return "parameter-error"
+    return " ".join(str(v) for v in tier)
+
+
+def shifted_dispatch_rows(n: int) -> list[str]:
+    return [
+        f"{n},{alpha},{beta},{gamma},{shifted_dispatch_outcome(n, alpha, beta, gamma)}"
+        for alpha in _alphas(n)
+        for gamma in _gammas(n, alpha)
+        for beta in sorted({gamma, alpha})
+    ]
+
+
+@pytest.mark.parametrize("n", DISPATCH_NS, ids=lambda n: f"n=2^{n.bit_length() - 1}")
+def test_pinned_shifted_dispatch(n):
+    lines = (GOLDEN / "shifted_dispatch.csv").read_text(encoding="utf-8").splitlines()
+    assert shifted_dispatch_rows(n) == [line for line in lines[1:] if line.split(",")[0] == str(n)]
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in GRIDS:
@@ -166,6 +210,10 @@ def write_golden() -> None:
         for h in DISPATCH_HS:
             rows.extend(dispatch_rows(n, h))
     (GOLDEN / "dispatch.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rows = ["n,alpha,beta,gamma,outcome"]
+    for n in DISPATCH_NS:
+        rows.extend(shifted_dispatch_rows(n))
+    (GOLDEN / "shifted_dispatch.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
