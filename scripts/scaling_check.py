@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gapedit.harness import InstanceSpec, generate
+from gapedit.harness import InstanceSpec, generate, ladder_alpha
 from gapedit.metering import MeteredString, RandomStream
 from gapedit.strings import GapInstance
 from gapedit.testers import TesterConfig, main_gap
@@ -26,7 +26,7 @@ def mean_queries(n: int, k: int, c: float, trials: int, seed: int, delta: float)
         spec = InstanceSpec(family="random-edits", n=n, k=k, side="yes", c=c)
         x, y, _ = generate(spec, rs.child("gen"))
         xm, ym = MeteredString(x), MeteredString(y)
-        inst = GapInstance(xm.view(), ym.view(), int(k**c), k)
+        inst = GapInstance(xm.view(), ym.view(), ladder_alpha(k, c), k)
         main_gap(inst, TesterConfig(delta=delta), rs.child("run"))
         totals.append(xm.count + ym.count)
     return sum(totals) / len(totals)

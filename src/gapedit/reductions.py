@@ -223,6 +223,18 @@ def single_level_plan(n: int, alpha: int, phi: int) -> tuple[int, int, int]:
     return b, m, iters
 
 
+def multilevel_levels(n: int, alpha: int, phi: int) -> list[tuple[int, int]]:
+    """The (level, iterations) pairs multilevel_reduce samples: rate 10*phi/alpha
+    from level ceil(log2 phi). Empty when the rate reaches no level."""
+    return level_plan(n, 10 * phi, alpha, ceil_log2(phi))
+
+
+def gap_to_shifted_levels(n: int, alpha: int, phi: int) -> list[tuple[int, int]]:
+    """The (level, iterations) pairs gap_to_shifted samples: rate 84*phi/alpha
+    from level ceil(log2(3*phi))."""
+    return level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi))
+
+
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
@@ -309,8 +321,7 @@ def multilevel_reduce(
         raise ParameterError(
             f"need alpha/10 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
-    levels = level_plan(n, 10 * phi, alpha, ceil_log2(phi))
-    plan = _draw_blocks(n, levels, rs)
+    plan = _draw_blocks(n, multilevel_levels(n, alpha, phi), rs)
     return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs)
 
 
@@ -403,8 +414,7 @@ def gap_to_shifted(
             f"alpha={alpha} is too small for phi={phi} at n={n} "
             f"(raise alpha or lower phi)"
         )
-    levels = level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi))
-    plan = _draw_blocks(n, levels, rs)
+    plan = _draw_blocks(n, gap_to_shifted_levels(n, alpha, phi), rs)
     no_counts = [0] * batch.q
     rows = oracle(batch, plan, phi, beta, psi, rs)
     assert len(rows) == len(plan), "the oracle answers one row per planned block"
@@ -416,7 +426,7 @@ def gap_to_shifted(
 
 def gap_to_shifted_call_count(n: int, alpha: int, phi: int) -> int:
     """Planned call count of gap_to_shifted, for error budgeting."""
-    return sum(iters for _, iters in level_plan(n, 84 * phi, alpha, ceil_log2(3 * phi)))
+    return sum(iters for _, iters in gap_to_shifted_levels(n, alpha, phi))
 
 
 # ---------------------------------------------------------------------------

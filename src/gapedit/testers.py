@@ -10,9 +10,15 @@ The stack, bottom to top:
   specialized shallow recursions; batches share one sample plan.
 - ``baseline_gap`` / ``baseline_shifted``: the plain mutual recursion.
 - ``main_gap`` / ``main_shifted``: dispatch that picks the cheapest
-  applicable tier from one table of depth rows, with a wide-range
-  multilevel tier for moderate gaps and an UNSUPPORTED-REGIME error (never
-  a crash) when nothing applies.
+  applicable tier, with a wide-range multilevel tier for moderate gaps and
+  an UNSUPPORTED-REGIME error (never a crash) when nothing applies.
+
+One admission rule serves every tier: the depth-h gap gate
+``baseline_gap_gate`` and its shifted form ``baseline_shifted_gate`` (the
+gap gate at beta = 3*gamma). The h1 and h2 tiers are the gap gate's depths
+1 and 2, the h1s and s3 tiers the shifted gate's. Every tier's guard, the
+baseline and both dispatchers call it at their depth: the gap dispatch
+walks h = 0, 1, 2, ... and the shifted dispatch h = 0, 1, 2.
 
 Every tier of the mutual recursion runs the two batch reductions of
 ``reductions`` through one path per direction. ``_batched_gap_via_shifted``
@@ -47,7 +53,7 @@ from .reductions import (
     exact_shifted_oracle,
     gap_to_shifted,
     gap_to_shifted_call_count,
-    level_plan,
+    multilevel_levels,
     multilevel_reduce,
     per_block,
     per_member,
@@ -226,12 +232,48 @@ def batched_shifted_h0(
 
 
 # ---------------------------------------------------------------------------
-# h = 1 gap, h = 1 shifted, h = 2 gap
+# Depth-h gates: the one admission rule of every tier
 # ---------------------------------------------------------------------------
 
 
-def h1_gate(n: int, alpha: int, beta: int) -> bool:
-    return beta * beta * 336 * ceil_log2(n) <= alpha
+def gate_factor(n: int) -> int:
+    """336 * ceil(log2 n), the per-level factor of the depth-h gates."""
+    return 336 * ceil_log2(n)
+
+
+def baseline_gap_gate(n: int, alpha: int, beta: int, h: int) -> bool:
+    """beta <= (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1)), in exact integers.
+
+    Inclusive. At h = 1 it reads beta^2 * 336 ceil(log2 n) <= alpha, at h = 2
+    (beta * 336 ceil(log2 n))^3 <= alpha^2; h = 0 admits beta = 0 only.
+    """
+    if h == 0:
+        return beta < 1
+    lhs = beta ** (2 * (h + 1)) * gate_factor(n) ** (h * (h + 1))
+    return lhs <= alpha ** (2 * h)
+
+
+def baseline_shifted_gate(n: int, alpha: int, gamma: int, h: int) -> bool:
+    """gamma <= (1/3) (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1)), for gamma >= 0.
+
+    The depth-h gap gate at beta = 3*gamma, the threshold of the shifted
+    tester's gap calls; h = 0 admits gamma = 0 only.
+    """
+    return baseline_gap_gate(n, alpha, 3 * gamma, h)
+
+
+def baseline_max_beta(n: int, alpha: int, h: int) -> int:
+    """Largest beta admitted by the depth-h gap gate at (n, alpha)."""
+    if h == 0:
+        return 0
+    # the gate is b^(2(h+1)) * denom <= alpha^(2h), i.e. b^(2(h+1)) <= alpha^(2h) // denom
+    denom = gate_factor(n) ** (h * (h + 1))
+    return iroot(2 * (h + 1), alpha ** (2 * h) // denom)
+
+
+# ---------------------------------------------------------------------------
+# h = 1 gap, h = 1 shifted, h = 2 gap
+# ---------------------------------------------------------------------------
 
 
 # (batch, plan, alpha, beta, gamma, delta, rs) -> one row of member verdicts per planned block
@@ -333,7 +375,7 @@ def batched_gap_h1(
     n = len(batch.x)
     if beta == 0:
         return batched_equality(batch, alpha, delta, rs)
-    if not h1_gate(n, alpha, beta):
+    if not baseline_gap_gate(n, alpha, beta, 1):
         raise ParameterError(
             f"h=1 gate beta^2 <= alpha/(336 ceil(log2 n)) fails: "
             f"n={n} alpha={alpha} beta={beta}"
@@ -346,18 +388,15 @@ def batched_gap_h1(
     return _majority_votes(batch, alpha, beta, beta, shifted_fn, delta, rs)
 
 
-def h1_shifted_gate(n: int, alpha: int, gamma: int) -> bool:
-    return gamma * gamma * 3024 * ceil_log2(n) <= alpha
-
-
 def h1_shifted_params(n: int, alpha: int, beta: int, gamma: int, q: int) -> tuple[int, int]:
     """(gamma_bar, xi) for the h=1 shifted tester.
 
     gamma is artificially raised to gamma_bar = min(beta, floor(sqrt(alpha /
-    (3024 ceil(log2 n))))) and the grid spread balances batch count against
+    (9 * 336 ceil(log2 n))))) and the grid spread balances batch count against
     batch size: xi = max(gamma_bar, min(beta, floor(gamma_bar*sqrt(beta/q)))).
     """
-    gbar = min(beta, isqrt(alpha // (3024 * max(1, ceil_log2(n)))))
+    # max(n, 2) counts at least one level, so n = 1 does not divide by zero
+    gbar = min(beta, isqrt(alpha // (9 * gate_factor(max(n, 2)))))
     xi = max(gbar, min(beta, isqrt(gbar * gbar * beta // q)))
     return gbar, xi
 
@@ -365,30 +404,25 @@ def h1_shifted_params(n: int, alpha: int, beta: int, gamma: int, q: int) -> tupl
 def batched_shifted_h1(
     batch: Batch, alpha: int, beta: int, gamma: int, delta: float, rs: RandomStream
 ) -> list[bool]:
-    """Shifted tester for gamma^2 <= alpha/(3024*ceil(log2 n)), batched."""
+    """Shifted tester for gamma^2 <= alpha/(9*336*ceil(log2 n)), batched."""
     n = len(batch.x)
     if not (alpha >= beta >= gamma >= 0):
         raise ParameterError("need alpha >= beta >= gamma >= 0")
     if gamma == 0:
         return batched_shifted_h0(batch, [(0, n)], alpha, beta, delta, rs)[0]
-    if not h1_shifted_gate(n, alpha, gamma):
+    if not baseline_shifted_gate(n, alpha, gamma, 1):
         raise ParameterError(
             f"h=1 shifted gate gamma^2 <= alpha/(3024 ceil(log2 n)) fails: "
             f"n={n} alpha={alpha} gamma={gamma}"
         )
     gbar, xi = h1_shifted_params(n, alpha, beta, gamma, batch.q)
-    assert h1_gate(n, alpha, 3 * gbar), "raised gamma keeps the h=1 gap gate valid"
+    assert baseline_gap_gate(n, alpha, 3 * gbar, 1), "raised gamma keeps the h=1 gap gate valid"
     return _batched_shifted_via_gap(batch, alpha, beta, gbar, 1 + xi, batched_gap_h1, delta, rs)
-
-
-def h2_gate(n: int, alpha: int, beta: int) -> bool:
-    c = 336 * ceil_log2(n)
-    return beta**3 * c**3 <= alpha * alpha
 
 
 def h2_phi(n: int, alpha: int, beta: int) -> int:
     """Oracle threshold floor(alpha^2 / (beta^2 (336 ceil(log2 n))^3)) for the h=2 path."""
-    return alpha * alpha // (beta * beta * (336 * ceil_log2(n)) ** 3)
+    return alpha * alpha // (beta * beta * gate_factor(n) ** 3)
 
 
 def batched_gap_h2(
@@ -403,54 +437,23 @@ def batched_gap_h2(
     n = len(batch.x)
     if beta == 0:
         return batched_equality(batch, alpha, delta, rs)
-    if not h2_gate(n, alpha, beta):
+    if not baseline_gap_gate(n, alpha, beta, 2):
         raise ParameterError(
             f"h=2 gate beta <= alpha^(2/3)/(336 ceil(log2 n)) fails: "
             f"n={n} alpha={alpha} beta={beta}"
         )
-    if h1_gate(n, alpha, beta):
+    if baseline_gap_gate(n, alpha, beta, 1):
         return batched_gap_h1(batch, alpha, beta, delta, rs)
     phi = h2_phi(n, alpha, beta)
     assert phi >= beta, "the gate forces phi >= beta"
     psi = shifted_threshold(n, alpha, beta, phi)
-    assert psi < beta and h1_shifted_gate(n, phi, psi), "derived thresholds stay in regime"
+    assert psi < beta and baseline_shifted_gate(n, phi, psi, 1), "derived thresholds stay in regime"
     return _majority_votes(batch, alpha, beta, phi, per_block(batched_shifted_h1), delta, rs)
 
 
 # ---------------------------------------------------------------------------
 # Baseline recursion (explicit depth h)
 # ---------------------------------------------------------------------------
-
-
-def baseline_gap_gate(n: int, alpha: int, beta: int, h: int) -> bool:
-    """beta <= (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1)), in exact integers.
-
-    Inclusive like h1_gate and h2_gate, which it equals at h = 1 and h = 2.
-    """
-    if h == 0:
-        return beta < 1
-    lhs = beta ** (2 * (h + 1)) * (336 * ceil_log2(n)) ** (h * (h + 1))
-    return lhs <= alpha ** (2 * h)
-
-
-def baseline_shifted_gate(n: int, alpha: int, gamma: int, h: int) -> bool:
-    """gamma <= (1/3) (336 ceil(log2 n))^(-h/2) * alpha^(h/(h+1)).
-
-    Inclusive like h1_shifted_gate, which it equals at h = 1.
-    """
-    if h == 0:
-        return gamma == 0
-    lhs = (3 * gamma) ** (2 * (h + 1)) * (336 * ceil_log2(n)) ** (h * (h + 1))
-    return lhs <= alpha ** (2 * h)
-
-
-def baseline_max_beta(n: int, alpha: int, h: int) -> int:
-    """Largest beta admitted by the depth-h gap gate at (n, alpha)."""
-    if h == 0:
-        return 0
-    # the gate is b^(2(h+1)) * denom <= alpha^(2h), i.e. b^(2(h+1)) <= alpha^(2h) // denom
-    denom = (336 * ceil_log2(n)) ** (h * (h + 1))
-    return iroot(2 * (h + 1), alpha ** (2 * h) // denom)
 
 
 def baseline_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
@@ -487,65 +490,34 @@ def baseline_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream)
 
 
 # ---------------------------------------------------------------------------
-# Gap tier table and main dispatch
+# Main dispatch
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapTier:
-    """One depth row of the gap dispatch table."""
-
-    tier: tuple
-    gate: Callable[[int, int, int], bool]  # (n, alpha, beta) -> admitted
-    max_beta: Callable[[int, int], int]  # (n, alpha) -> largest admitted beta
-
-
-_SHALLOW_TIERS = (
-    GapTier(("equality",), lambda n, alpha, beta: beta == 0 or alpha >= n, lambda n, alpha: 0),
-    GapTier(("h1",), h1_gate, lambda n, alpha: isqrt(alpha // (336 * ceil_log2(n)))),
-    GapTier(
-        ("h2",), h2_gate, lambda n, alpha: iroot(3, alpha * alpha // (336 * ceil_log2(n)) ** 3)
-    ),
-)
-
-
-def gap_tier(h: int) -> GapTier:
-    """Row h of the gap tier table: equality, h1, h2, then the depth-h recursion."""
-    if h < len(_SHALLOW_TIERS):
-        return _SHALLOW_TIERS[h]
-    return GapTier(
-        ("recursion", h),
-        lambda n, alpha, beta: baseline_gap_gate(n, alpha, beta, h)
-        and shifted_threshold(n, alpha, beta, beta) <= beta,
-        lambda n, alpha: baseline_max_beta(n, alpha, h),
-    )
 
 
 def plan_gap_dispatch(n: int, alpha: int, beta: int, cfg: TesterConfig):
     """Pick the cheapest applicable gap tier: a pure function of the parameters.
 
-    An explicit cfg.h looks up that one row of the tier table. Otherwise the
-    rows are walked by depth (the three shallow rows always, recursion rows
-    up to cfg.h_max), falling through to ("multilevel",). Returns the row's
-    tier tuple; raises UnsupportedRegimeError when nothing applies.
+    Depth h is admitted by the depth-h gate; depth 0 (equality) also takes a
+    vacuous NO promise, alpha >= n. An explicit cfg.h tries that one depth.
+    Otherwise the depths are walked in order (0, 1, 2 always, recursion
+    depths up to cfg.h_max), falling through to ("multilevel",). Returns the
+    tier tuple ("equality",), ("h1",), ("h2",) or ("recursion", h); raises
+    UnsupportedRegimeError when nothing applies.
     """
     if not alpha >= beta >= 0:
         raise ParameterError("need alpha >= beta >= 0")
+    depths = range(max(cfg.h_max, 2) + 1) if cfg.h is None else (cfg.h,)
+    for h in depths:
+        if baseline_gap_gate(n, alpha, beta, h) or (h == 0 and alpha >= n):
+            return (("equality",), ("h1",), ("h2",))[h] if h < 3 else ("recursion", h)
     if cfg.h is not None:
-        row = gap_tier(cfg.h)
-        if row.gate(n, alpha, beta):
-            return row.tier
         raise UnsupportedRegimeError(
             f"depth-{cfg.h} gate rejects beta={beta} at n={n}, alpha={alpha}",
-            max_beta=row.max_beta(n, alpha),
+            max_beta=baseline_max_beta(n, alpha, cfg.h),
         )
-    for h in range(max(cfg.h_max, 2) + 1):
-        row = gap_tier(h)
-        if row.gate(n, alpha, beta):
-            return row.tier
-    if alpha >= 10 * beta and level_plan(n, 10 * beta, alpha, ceil_log2(beta)):
+    if alpha >= 10 * beta and multilevel_levels(n, alpha, beta):
         return ("multilevel",)
-    best = max(alpha // 10, *(gap_tier(h).max_beta(n, alpha) for h in (1, 2)))
+    best = max(alpha // 10, baseline_max_beta(n, alpha, 1), baseline_max_beta(n, alpha, 2))
     raise UnsupportedRegimeError(
         f"no tier admits beta={beta} at n={n}, alpha={alpha}; "
         f"largest admissible beta is {best}",
@@ -579,16 +551,15 @@ def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
     return all(results)
 
 
-def plan_shifted_dispatch(n: int, alpha: int, beta: int, gamma: int, cfg: TesterConfig):
+def plan_shifted_dispatch(n: int, alpha: int, beta: int, gamma: int):
+    """Pick the shifted tier: the first of ("h0",), ("h1s",), ("s3",) whose
+    depth-h shifted gate (h = 0, 1, 2) admits gamma, else ("reduce",), the
+    offset grid over main_gap, when alpha >= 3*gamma."""
     if not alpha >= beta >= gamma >= 0:
         raise ParameterError("need alpha >= beta >= gamma >= 0")
-    if gamma == 0:
-        return ("h0",)
-    if h1_shifted_gate(n, alpha, gamma):
-        return ("h1s",)
-    c = 1008 * ceil_log2(n)
-    if (gamma * c) ** 3 <= alpha * alpha:
-        return ("s3",)
+    for h, tier in enumerate((("h0",), ("h1s",), ("s3",))):
+        if baseline_shifted_gate(n, alpha, gamma, h):
+            return tier
     if alpha >= 3 * gamma:
         return ("reduce",)
     raise UnsupportedRegimeError(
@@ -600,7 +571,7 @@ def plan_shifted_dispatch(n: int, alpha: int, beta: int, gamma: int, cfg: Tester
 def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
     """Top-level shifted-gap tester."""
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
-    tier = plan_shifted_dispatch(n, alpha, beta, gamma, cfg)
+    tier = plan_shifted_dispatch(n, alpha, beta, gamma)
     if tier[0] == "h0":
         [[yes]] = batched_shifted_h0(single(inst.x, inst.y), [(0, n)], alpha, beta, cfg.delta, rs)
         return yes
@@ -622,7 +593,7 @@ def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> b
     """h=2 shifted path: offset grid with spread min(beta, gamma*sqrt(beta)),
     leaves served by the h=2 gap tester on per-offset batches."""
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
-    assert h2_gate(n, alpha, 3 * gamma), "s3 gate implies the h=2 gap gate for 3*gamma"
+    assert baseline_gap_gate(n, alpha, 3 * gamma, 2), "s3 gate implies the h=2 gap gate for 3*gamma"
     xi = max(gamma, min(beta, isqrt(gamma * gamma * beta)))
     return _batched_shifted_via_gap(
         single(inst.x, inst.y), alpha, beta, gamma, 1 + xi, batched_gap_h2, cfg.delta, rs

@@ -178,7 +178,7 @@ def _gammas(n: int, alpha: int) -> list[int]:
 
 def shifted_dispatch_outcome(n: int, alpha: int, beta: int, gamma: int) -> str:
     try:
-        tier = plan_shifted_dispatch(n, alpha, beta, gamma, TesterConfig())
+        tier = plan_shifted_dispatch(n, alpha, beta, gamma)
     except UnsupportedRegimeError as exc:
         return f"unsupported max_gamma={exc.max_gamma}"
     except ParameterError:

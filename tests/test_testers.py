@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gapedit.intmath import ceil_log2
+from gapedit.intmath import ceil_log2, iroot
 from gapedit.metering import MeteredString, RandomStream
 from gapedit.reductions import (
     ParameterError,
@@ -39,12 +39,8 @@ from gapedit.testers import (
     batched_shifted_h0,
     batched_shifted_h1,
     equality_test,
-    gap_tier,
     h0_spread,
-    h1_gate,
-    h1_shifted_gate,
     h1_shifted_params,
-    h2_gate,
     h2_phi,
     main_gap,
     main_shifted,
@@ -319,7 +315,7 @@ def test_h0_rejects_bad_thresholds_before_any_read():
 def test_h1_gate_and_zero_threshold():
     n = 1 << 14
     L = ceil_log2(n)
-    assert h1_gate(n, 8192, 1) and not h1_gate(n, 8191, 2)
+    assert baseline_gap_gate(n, 8192, 1, 1) and not baseline_gap_gate(n, 8191, 2, 1)
     # at the exact gate boundary the derived shift threshold collapses to zero
     beta = 3
     alpha = 336 * L * beta * beta
@@ -452,7 +448,7 @@ def test_h2_gate_and_phi():
     n = 1 << L
     beta = 336 * L + 1
     alpha = int((beta ** 1.5) * (336 * L) ** 1.5) + beta**2  # between the two gates
-    if h2_gate(n, alpha, beta) and not h1_gate(n, alpha, beta):
+    if baseline_gap_gate(n, alpha, beta, 2) and not baseline_gap_gate(n, alpha, beta, 1):
         phi = h2_phi(n, alpha, beta)
         assert phi >= beta
         psi = shifted_threshold(n, alpha, beta, phi)
@@ -468,16 +464,16 @@ def test_h2_delegation_boundary_arithmetic():
     n = 1 << L
     beta = 336 * L
     alpha = 336 * L * beta * beta
-    assert h1_gate(n, alpha, beta)
-    assert h2_gate(n, alpha, beta)
-    assert not h1_gate(n, alpha - 1, beta)
+    assert baseline_gap_gate(n, alpha, beta, 1)
+    assert baseline_gap_gate(n, alpha, beta, 2)
+    assert not baseline_gap_gate(n, alpha - 1, beta, 1)
 
 
 def test_h2_delegates_inside_h1_gate():
     # smallest concrete scale where the h=2 gate holds at beta=1
     n = 1 << 19
     alpha, beta = 520_000, 1
-    assert h2_gate(n, alpha, beta) and h1_gate(n, alpha, beta)
+    assert baseline_gap_gate(n, alpha, beta, 2) and baseline_gap_gate(n, alpha, beta, 1)
     x = rand_sym(11, n, 1 << 30)
     batch = single(as_view(x), as_view(list(x)))
     assert batched_gap_h2(batch, alpha, beta, 0.5, RandomStream(1)) == [True]
@@ -523,21 +519,43 @@ def test_baseline_gate_admits_the_h1_boundary():
     assert baseline_shifted_gate(n, 4 * 3024 * 16, 2, 1)
 
 
-def test_baseline_gates_equal_tier_gates():
+def test_depth_gates_match_the_closed_forms():
+    # the paper's h = 1 and h = 2 gates, written out, at +-1 of every boundary
     for n in (1 << 10, 1 << 16, 1 << 20):
-        c = 336 * ceil_log2(n)
-        for beta in range(0, 7):
-            for edge in (beta * beta * c, math.isqrt(beta**3 * c**3), 9 * beta * beta * c):
-                for alpha in (edge - 1, edge, edge + 1):
-                    if alpha < beta:
-                        continue
-                    for h in (1, 2):
-                        assert baseline_gap_gate(n, alpha, beta, h) == gap_tier(h).gate(
-                            n, alpha, beta
-                        ), (n, alpha, beta, h)
-                    assert baseline_shifted_gate(n, alpha, beta, 1) == h1_shifted_gate(
-                        n, alpha, beta
-                    ), (n, alpha, beta)
+        L = ceil_log2(n)
+        c = 336 * L
+        for b in range(0, 7):
+            edges = (
+                b * b * c,
+                math.isqrt(b**3 * c**3),
+                b * b * 3024 * L,
+                math.isqrt((1008 * L * b) ** 3),
+            )
+            for alpha in {e + d for e in edges for d in (-1, 0, 1, 2)}:
+                if alpha < b:
+                    continue
+                at = (n, alpha, b)
+                assert baseline_gap_gate(n, alpha, b, 1) == (b * b * c <= alpha), at
+                assert baseline_gap_gate(n, alpha, b, 2) == (b**3 * c**3 <= alpha**2), at
+                assert baseline_shifted_gate(n, alpha, b, 1) == (b * b * 3024 * L <= alpha), at
+                assert baseline_shifted_gate(n, alpha, b, 2) == (
+                    (1008 * L * b) ** 3 <= alpha**2
+                ), at
+                assert baseline_max_beta(n, alpha, 1) == math.isqrt(alpha // c), at
+                assert baseline_max_beta(n, alpha, 2) == iroot(3, alpha**2 // c**3), at
+
+
+def test_depth_gate_keeps_the_shift_threshold_within_beta():
+    # wherever the depth-h gate admits beta, psi = floor(112 beta^2 ceil(log2 n) / alpha)
+    # is at most beta, so the recursion tier needs no psi <= beta clause of its own
+    for n in (1 << 10, 1 << 20, 1 << 100):
+        for alpha in (1, 7, 1 << 10, 1 << 20, 10**12, 10**30, 10**60, 10**120):
+            for h in range(1, 7):
+                edge = baseline_max_beta(n, alpha, h)
+                assert not baseline_gap_gate(n, alpha, edge + 1, h)
+                for beta in (edge - 1, edge, edge + 1):
+                    if 1 <= beta <= alpha and baseline_gap_gate(n, alpha, beta, h):
+                        assert shifted_threshold(n, alpha, beta, beta) <= beta, (n, alpha, h)
 
 
 def test_baseline_beta_zero_matches_equality_plan():
@@ -653,13 +671,12 @@ def test_plan_gap_dispatch_explicit_h():
 
 
 def test_plan_shifted_dispatch_tiers():
-    cfg = TesterConfig()
-    assert plan_shifted_dispatch(1 << 14, 512, 8, 0, cfg) == ("h0",)
+    assert plan_shifted_dispatch(1 << 14, 512, 8, 0) == ("h0",)
     n = 4096
-    assert plan_shifted_dispatch(n, 3024 * 12, 4, 1, cfg) == ("h1s",)
-    assert plan_shifted_dispatch(n, 600, 12, 4, cfg) == ("reduce",)
+    assert plan_shifted_dispatch(n, 3024 * 12, 4, 1) == ("h1s",)
+    assert plan_shifted_dispatch(n, 600, 12, 4) == ("reduce",)
     with pytest.raises(UnsupportedRegimeError) as exc:
-        plan_shifted_dispatch(n, 11, 4, 4, cfg)
+        plan_shifted_dispatch(n, 11, 4, 4)
     assert exc.value.max_gamma == 3
 
 
@@ -707,7 +724,7 @@ def test_recursion_tier_selection_arithmetic():
     n = 1 << 100
     alpha = 10**30
     beta = 4 * 10**15
-    assert not h1_gate(n, alpha, beta) and not h2_gate(n, alpha, beta)
+    assert not baseline_gap_gate(n, alpha, beta, 1) and not baseline_gap_gate(n, alpha, beta, 2)
     assert plan_gap_dispatch(n, alpha, beta, TesterConfig()) == ("recursion", 3)
 
 
@@ -720,10 +737,9 @@ def test_shifted_s3_selection_arithmetic():
     n = 1 << L
     gamma = 112 * L * 2
     alpha = 25 * 10**12
-    cfg = TesterConfig()
     assert gamma * gamma * 3024 * L > alpha  # h1 shifted gate fails
     assert (1008 * L * gamma) ** 3 <= alpha * alpha  # s3 gate holds
-    assert plan(n, alpha, gamma, gamma, cfg) == ("s3",)
+    assert plan(n, alpha, gamma, gamma) == ("s3",)
 
 
 def test_shifted_s3_runs_end_to_end():
