@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from .harness import (
     FAMILIES,
     TESTERS,
     GridConfig,
     InstanceSpec,
+    _h_value,
     adjudicate,
     generate,
     ladder_alpha,
@@ -27,17 +29,23 @@ from .reductions import key_lemma_check
 from .testers import TesterConfig
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--h", default="auto")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tester", default="main", choices=sorted(TESTERS))
-    p.add_argument("--family", default="random-edits", choices=FAMILIES)
-    p.add_argument("--out", default="-")
+_FLAGS = {
+    "--n": dict(type=int, default=4096),
+    "--k": dict(type=int, default=16),
+    "--c": dict(type=float, default=2.0),
+    "--h": dict(type=_h_value, default="auto"),  # argparse converts the default too
+    "--delta": dict(type=float, default=0.1),
+    "--trials": dict(type=int, default=10),
+    "--seed": dict(type=int, default=1),
+    "--tester": dict(default="main", choices=sorted(TESTERS)),
+    "--family": dict(default="random-edits", choices=FAMILIES),
+    "--out": dict(default="-"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def _open_out(path: str):
@@ -82,7 +90,7 @@ def _cmd_run(args) -> int:
             c=(args.c,),
             tester=(args.tester,),
             family=(args.family,),
-            h=None if args.h == "auto" else int(args.h),
+            h=args.h,
             delta=args.delta,
             trials=args.trials,
             seed=args.seed,
@@ -126,11 +134,11 @@ def _cmd_adjudicate(args) -> int:
     return 0
 
 
-def _certify_target(name: str, n: int, k: int, c: float, delta: float, h):
+def _certify_target(name: str, k: int, c: float, delta: float, h: Optional[int]):
     """Build a (MeteredString, MeteredString, RandomStream) tester closure."""
     alpha = ladder_alpha(k, c)
     beta = k
-    cfg = TesterConfig(delta=delta, h=None if h == "auto" else int(h))
+    cfg = TesterConfig(delta=delta, h=h)
 
     def tester(xm, ym, rs):
         fn = TESTERS[name]
@@ -140,7 +148,7 @@ def _certify_target(name: str, n: int, k: int, c: float, delta: float, h):
 
 
 def _cmd_certify(args) -> int:
-    tester = _certify_target(args.tester, args.n, args.k, args.c, args.delta, args.h)
+    tester = _certify_target(args.tester, args.k, args.c, args.delta, args.h)
     result = certify_non_adaptive(tester, args.n, args.seed, trials=args.trials)
     if result.passed:
         print(
@@ -195,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate one instance family sample to files")
-    _add_common(p)
+    _add_flags(p, "--n", "--k", "--c", "--seed", "--family", "--out")
     p.add_argument("--side", default="yes", choices=("yes", "no"))
     p.add_argument("--alphabet", type=int, default=1 << 32)
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("run", help="run an experiment grid, emitting CSV")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.add_argument("--config", default=None, help="grid config file (key = v1, v2 lines)")
     p.set_defaults(fn=_cmd_run)
 
@@ -213,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "certify-nonadaptive", help="replay a tester across contents and compare read logs"
     )
-    _add_common(p)
+    _add_flags(p, "--n", "--k", "--c", "--h", "--delta", "--trials", "--seed", "--tester")
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("lemma-check", help="brute-force the witness-count inequality")

@@ -121,7 +121,6 @@ class InstanceSpec:
     n: int
     k: int
     alphabet_size: int = 1 << 32
-    seed: int = 0
     side: str = "yes"  # random-edits / padded-hard: which suite to plant
     c: float = 2.0  # padded-hard: gap exponent fixing the core scale
 

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
 from .metering import RandomStream
-from .strings import EXCEEDS, View, _coerce, ed_exact, gap_ed_banded
+from .strings import EXCEEDS, View, ed_exact, gap_ed_banded
 
 
 class ParameterError(ValueError):
@@ -158,17 +158,15 @@ def per_block(oracle: BatchOracle) -> PlanOracle:
 
 
 def exact_gap_oracle(
-    xb: Sequence[int] | View, yb: Sequence[int] | View, alpha: int, beta: int, rs: RandomStream
+    bx: Sequence[int], by: Sequence[int], alpha: int, beta: int, rs: RandomStream
 ) -> bool:
     """Valid gap solver for any thresholds on two blocks, by banded DP.
 
-    A block is a symbol list or a `View`; a View is fetched whole, x first,
-    so reads do not depend on the answer. Blocks no longer than beta
+    A block is the symbol list a reduction fetched, so every read happens
+    before the answer is known. Blocks no longer than beta
     (ED <= max(|x|, |y|) <= beta) and equal blocks (ED = 0) need no DP.
     """
     _tally()
-    bx = _coerce(xb)
-    by = _coerce(yb)
     if (len(bx) <= beta and len(by) <= beta) or bx == by:
         return True
     return gap_ed_banded(bx, by, beta) is not EXCEEDS
@@ -350,16 +348,15 @@ class KeyLemmaReport:
 def key_lemma_check(x, y, tau: int) -> KeyLemmaReport:
     """Brute-force check of the witness-count inequality on one instance.
 
-    Not applicable (ED <= tau) instances are flagged rather than failed.
+    x and y are equal-length symbol sequences. Not applicable (ED <= tau)
+    instances are flagged rather than failed.
     """
     if tau < 1:
         raise ParameterError("tau must be >= 1")
-    bx = x.fetch() if isinstance(x, View) else list(x)
-    by = y.fetch() if isinstance(y, View) else list(y)
-    if len(bx) != len(by):
+    if len(x) != len(y):
         raise ParameterError("equal lengths required")
-    n = len(bx)
-    ed = ed_exact(bx, by)
+    n = len(x)
+    ed = ed_exact(x, y)
     if ed <= tau:
         return KeyLemmaReport(False, False, ed, tau)
     per_level: dict[int, int] = {}
@@ -372,7 +369,7 @@ def key_lemma_check(x, y, tau: int) -> KeyLemmaReport:
         for i in range(grid.m):
             start, length = grid.block(i)
             if (
-                gap_ed_banded(bx[start : start + length], by[start : start + length], tau)
+                gap_ed_banded(x[start : start + length], y[start : start + length], tau)
                 is EXCEEDS
             ):
                 cnt += 1

@@ -1,8 +1,11 @@
 """Exact edit-distance computations: ground truth and leaf oracles.
 
-Symbols are unsigned integer code points; helpers accept ``str``/``bytes``
-for convenience and normalize them. All functions here are pure and safe
-to call from multiple threads.
+Symbols are unsigned integer code points. ``symbols`` is the one
+normaliser; ``MeteredString`` and ``as_view`` (for text and bytes) call it
+where input enters. Below that a string is a ``View`` or the list its
+``fetch`` returned: the distance kernels use the two sequences they are
+given (two ``str`` work as well) and never fetch a ``View``. All functions
+here are pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -113,17 +116,6 @@ def as_view(s) -> View:
     return View(s, 0, len(s))
 
 
-def _coerce(s) -> Sequence[int]:
-    """Raw symbol sequence for local computation (no metering indirection)."""
-    if isinstance(s, View):
-        return s.fetch()
-    if isinstance(s, str):
-        return [ord(c) for c in s]
-    if isinstance(s, (bytes, bytearray)):
-        return list(s)
-    return s
-
-
 @dataclass(frozen=True)
 class GapInstance:
     """A gap decision instance: YES means ED <= beta, NO means ED > alpha."""
@@ -186,8 +178,6 @@ def ed_exact(x, y) -> int:
     from the pattern match nothing. Time O(n * ceil(m / w)) for w-bit
     big-int digits.
     """
-    x = _coerce(x)
-    y = _coerce(y)
     if len(x) < len(y):
         x, y = y, x
     m = len(y)
@@ -220,8 +210,6 @@ def ed_exact(x, y) -> int:
 
 def ed_lower_bound(x, y) -> int:
     """A cheap certified lower bound on ed_exact (length gap and bag distance)."""
-    x = _coerce(x)
-    y = _coerce(y)
     diff = Counter(x)
     diff.subtract(Counter(y))
     surplus = sum(v for v in diff.values() if v > 0)
@@ -256,18 +244,14 @@ def gap_ed_banded(x, y, beta: int):
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    x = _coerce(x)
-    y = _coerce(y)
     n, m = len(x), len(y)
     if n > m:
         x, y, n, m = y, x, m, n
     dd = m - n  # target diagonal
     if dd > beta:
         return EXCEEDS
-    if beta == 0:
-        return 0 if list(x) == list(y) else EXCEEDS
     if n == 0:
-        return m if m <= beta else EXCEEDS
+        return m
 
     row = _lcp(x, y, 0, 0, n)
     if dd == 0 and row >= n:
@@ -325,8 +309,6 @@ def shifted_ed_exact(x, y, beta: int) -> int:
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    x = _coerce(x)
-    y = _coerce(y)
     lx, ly = len(x), len(y)
     cap = min(lx, ly, beta)
 
@@ -361,8 +343,8 @@ def ed_solve_gap(inst: GapInstance) -> str:
     bound settles most NO cases, and only genuinely in-between instances pay
     for a banded pass at alpha.
     """
-    x = _coerce(inst.x)
-    y = _coerce(inst.y)
+    x = inst.x.fetch()
+    y = inst.y.fetch()
     d = gap_ed_banded(x, y, inst.beta)
     if d is not EXCEEDS:
         return YES

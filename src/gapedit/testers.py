@@ -529,7 +529,7 @@ def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
     """Top-level gap tester: dispatch, then amplify to cfg.delta."""
     n, alpha, beta = inst.n, inst.alpha, inst.beta
     tier = plan_gap_dispatch(n, alpha, beta, cfg)
-    if tier[0] == "equality":
+    if tier[0] == "equality" or beta == 0:  # an explicit depth h >= 1 admits beta = 0 too
         return equality_test(inst.x, inst.y, alpha, cfg.delta, rs)
     if tier[0] == "h1":
         return batched_gap_h1(single(inst.x, inst.y), alpha, beta, cfg.delta, rs)[0]

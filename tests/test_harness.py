@@ -25,7 +25,7 @@ from gapedit.harness import (
 )
 from gapedit.metering import RandomStream
 from gapedit.strings import ed_exact, ed_lower_bound
-from gapedit.cli import main as cli_main
+from gapedit.cli import build_parser, main as cli_main
 
 
 def gen(family, n, k, side="yes", seed=1, c=2.0, alphabet=1 << 32):
@@ -133,6 +133,16 @@ def test_cell_cardinality_contract():
     rows = list(csv.DictReader(io.StringIO(text)))
     assert sum(r["record"] == "trial" for r in rows) == 100
     assert sum(r["record"] == "summary" for r in rows) == 1
+
+
+def test_explicit_depth_three_with_beta_zero_completes():
+    # k = 0 gives beta = 0, which every depth's gate admits
+    cfg = GridConfig(n=(256,), k=(0,), c=(2.0,), tester=("main",), h=3, trials=1, seed=1)
+    text, result = grid_csv_text(cfg)
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert rows[0]["verdict"] == rows[0]["truth"] == "YES"
+    assert result.unsupported_cells == 0
 
 
 def test_reproducibility_modulo_wall_time():
@@ -370,6 +380,29 @@ def test_cli_certify_nonadaptive():
          "--k", "4", "--c", "3", "--trials", "5", "--seed", "2"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["gen", "--trials", "3"],
+        ["gen", "--delta", "0.2"],
+        ["certify-nonadaptive", "--family", "rotation"],
+        ["certify-nonadaptive", "--out", "f.csv"],
+        ["run", "--h", "three"],
+    ),
+)
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_parses_h_once():
+    parser = build_parser()
+    assert parser.parse_args(["run"]).h is None
+    assert parser.parse_args(["run", "--h", "auto"]).h is None
+    assert parser.parse_args(["certify-nonadaptive", "--h", "2"]).h == 2
 
 
 def test_cli_lemma_check():

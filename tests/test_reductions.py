@@ -42,6 +42,11 @@ def disjoint_pair(seed, n, alphabet=1 << 20):
     return x, y
 
 
+def fetched(oracle):
+    """A pair oracle on two Views: fetch both, x first, as the reductions do."""
+    return lambda xv, yv, *args: oracle(xv.fetch(), yv.fetch(), *args)
+
+
 def test_block_grid():
     g = BlockGrid(10, 2)
     assert g.m == 3
@@ -164,21 +169,28 @@ def test_multilevel_empty_level_range_returns_yes():
 def test_oracle_call_tally():
     x = rand_list(3, 1024, 4)
     xv = as_view(x)
+    oracle = fetched(exact_gap_oracle)
     with oracle_call_tally() as tally:
         out = single_level_reduce(xv, xv, 512, 4, 4, exact_gap_oracle, RandomStream(2))
-        # blocks no longer than beta are YES without a DP, but still read in full
+        # blocks no longer than beta are YES without a DP
         x, y = disjoint_pair(5, 80)
         for length, beta in ((64, 64), (40, 64), (1, 1)):
-            xm, ym = MeteredString(x), MeteredString(y)
-            xb, yb = xm.view().sub(3, length), ym.view().sub(7, length)
+            xb, yb = as_view(x).sub(3, length), as_view(y).sub(7, length)
             assert ed_exact(xb.fetch(), yb.fetch()) == length
-            xm.count = ym.count = 0
-            assert exact_gap_oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is True
-            assert xm.count == ym.count == length
+            assert oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is True
+        assert oracle(as_view(x), as_view(y), 252, 63, RandomStream(1)) is False
+        # ... but the reduction still reads them in full: b = 64 = beta at n = 80, alpha = 240
+        lengths = []
+
+        def leaf(bx, by, *args):
+            lengths.append(len(bx))
+            return exact_gap_oracle(bx, by, *args)
+
         xm, ym = MeteredString(x), MeteredString(y)
-        assert exact_gap_oracle(xm.view(), ym.view(), 252, 63, RandomStream(1)) is False
-        assert xm.count == ym.count == 80
-    assert tally[0] == out.call_count + 4 == 11
+        short = single_level_reduce(xm.view(), ym.view(), 240, 64, 64, leaf, RandomStream(3))
+        assert short.yes and max(lengths) <= 64
+        assert xm.count == ym.count == sum(lengths) > 0
+    assert tally[0] == out.call_count + 4 + short.call_count == 13
 
 
 def test_equal_blocks_are_yes_without_a_dp(monkeypatch):
@@ -188,8 +200,9 @@ def test_equal_blocks_are_yes_without_a_dp(monkeypatch):
     for i in range(beta + 1):
         y[10 + 30 * i] += 1 << 20
     assert ed_exact(x, y) == beta + 1
-    for xb, yb in ((x, y), (as_view(x), as_view(y))):
-        assert exact_gap_oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is False
+    assert exact_gap_oracle(x, y, 4 * beta, beta, RandomStream(1)) is False
+    xv, yv = as_view(x), as_view(y)
+    assert fetched(exact_gap_oracle)(xv, yv, 4 * beta, beta, RandomStream(1)) is False
 
     def no_dp(*args):
         raise AssertionError("equal blocks reached the banded DP")
@@ -199,7 +212,7 @@ def test_equal_blocks_are_yes_without_a_dp(monkeypatch):
         exact_gap_oracle(x, y, 4 * beta, beta, RandomStream(1))
     xm, ym = MeteredString(x), MeteredString(list(x))
     xb, yb = xm.view().sub(50, length), ym.view().sub(50, length)
-    assert exact_gap_oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is True
+    assert fetched(exact_gap_oracle)(xb, yb, 4 * beta, beta, RandomStream(1)) is True
     assert xm.count == ym.count == length
     assert exact_gap_oracle(x, list(x), 4 * beta, beta, RandomStream(1)) is True
 
@@ -365,7 +378,7 @@ def test_shift_grid_examples():
 def test_shifted_to_gap_counts_and_bounds():
     x = rand_list(31, 256, 1 << 16)
     xv = as_view(x)
-    oracle = per_member(exact_gap_oracle)
+    oracle = per_member(fetched(exact_gap_oracle))
     [out] = shifted_to_gap(single(xv, xv), 10, 3, 0, 2, oracle, RandomStream(1))
     assert out.yes and out.call_count == 16
     [out] = shifted_to_gap(single(xv, xv), 9, 3, 3, 4, oracle, RandomStream(1))
@@ -380,7 +393,7 @@ def test_shifted_to_gap_rotation_yes():
     assert shifted_ed_exact(x, y, 4) == 0
     [out] = shifted_to_gap(
         single(as_view(x), as_view(y)), 10, 4, 0, shift_grid_spread(4, 0),
-        per_member(exact_gap_oracle), RandomStream(2),
+        per_member(fetched(exact_gap_oracle)), RandomStream(2),
     )
     assert out.yes
 
@@ -389,7 +402,7 @@ def test_shifted_to_gap_no_side():
     x, y = disjoint_pair(41, 256)
     [out] = shifted_to_gap(
         single(as_view(x), as_view(y)), 16, 4, 1, shift_grid_spread(4, 1),
-        per_member(exact_gap_oracle), RandomStream(2),
+        per_member(fetched(exact_gap_oracle)), RandomStream(2),
     )
     assert not out.yes
 
@@ -402,7 +415,7 @@ def test_shifted_to_gap_degenerate_short_strings():
     x = as_view([1, 2, 3])
     z = as_view([9, 9, 9])
     assert shifted_ed_exact([1, 2, 3], [9, 9, 9], 4) == 0
-    oracle, spread = per_member(exact_gap_oracle), shift_grid_spread(4, 0)
+    oracle, spread = per_member(fetched(exact_gap_oracle)), shift_grid_spread(4, 0)
     [out] = shifted_to_gap(single(x, z), 12, 4, 0, spread, oracle, RandomStream(1))
     assert out.yes
     # one symbol over budget: the grid runs and the disjoint content fails it
@@ -415,7 +428,9 @@ def test_shifted_to_gap_degenerate_short_strings():
 def test_shifted_to_gap_rejects_small_alpha():
     x = as_view([0] * 32)
     with pytest.raises(ParameterError):
-        shifted_to_gap(single(x, x), 5, 4, 2, 3, per_member(exact_gap_oracle), RandomStream(1))
+        shifted_to_gap(
+            single(x, x), 5, 4, 2, 3, per_member(fetched(exact_gap_oracle)), RandomStream(1)
+        )
 
 
 def test_banded_membership_equivalence():
@@ -483,7 +498,7 @@ def test_gap_to_shifted_batch_matches_single_calls():
 
 def test_shifted_to_gap_batch_matches_single_calls():
     batch = _mixed_batch(256, 3)
-    oracle = per_member(exact_gap_oracle)
+    oracle = per_member(fetched(exact_gap_oracle))
     spread = shift_grid_spread(4, 1)
     got = shifted_to_gap(batch, 16, 4, 1, spread, oracle, RandomStream(2))
     want = [

@@ -148,6 +148,19 @@ def test_gap_banded_examples():
     assert gap_ed_banded("abcd", "bcda", 2) == 2
 
 
+def test_kernels_take_sequences_not_views():
+    x, y = as_view("abcd"), as_view("abce")
+    for call in (
+        lambda: ed_exact(x, y),
+        lambda: ed_lower_bound(x, y),
+        lambda: gap_ed_banded(x, y, 2),
+        lambda: shifted_ed_exact(x, y, 1),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert ed_exact(x.fetch(), y.fetch()) == 1
+
+
 def test_gap_banded_exhaustive_tiny():
     for lx in range(0, 5):
         for ly in range(0, 5):
@@ -201,6 +214,13 @@ def test_gap_banded_near_threshold_indels(alphabet):
                             assert (got == e) if e <= beta else (got is EXCEEDS), (
                                 length, p, skew, beta, e, got
                             )
+    # beta = 0: only equal strings pass, the empty pair included
+    x = [rng.randrange(alphabet) for _ in range(64)]
+    y = list(x)
+    y[17] = (y[17] + 1) % alphabet
+    for a, b, want in ((x, list(x), 0), (x, y, EXCEEDS), (x, x[:-1], EXCEEDS), ([], [], 0)):
+        assert gap_ed_banded(a, b, 0) == want
+        assert gap_ed_banded(b, a, 0) == want
 
 
 def test_hereditary_on_random_strings():

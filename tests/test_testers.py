@@ -718,6 +718,25 @@ def test_main_gap_recursion_plumbing():
     assert _batched_gap_via_shifted(batch, 4050, 1, 1, shifted_fn, RandomStream(2)) == [False]
 
 
+@pytest.mark.parametrize("h", (1, 2, 3, 6))
+def test_main_gap_explicit_depth_decides_beta_zero_by_equality(h):
+    # every depth's gate admits beta = 0; the verdict and the reads are the equality test's
+    x = as_view([0] * 64)
+    assert main_gap(GapInstance(x, x, 16, 0), TesterConfig(h=h), RandomStream(1)) is True
+    a, b = rand_sym(12, 2048), rand_sym(13, 2048)
+
+    def verdict_and_reads(tester):
+        xm, ym = MeteredString(a, log=True), MeteredString(b, log=True)
+        return tester(xm.view(), ym.view()), xm.log, ym.log
+
+    want = verdict_and_reads(lambda xv, yv: equality_test(xv, yv, 64, 0.2, RandomStream(6)))
+    cfg = TesterConfig(delta=0.2, h=h)
+    got = verdict_and_reads(
+        lambda xv, yv: main_gap(GapInstance(xv, yv, 64, 0), cfg, RandomStream(6))
+    )
+    assert got == want and want[0] is False
+
+
 def test_recursion_tier_selection_arithmetic():
     # the depth-3 recursion outranks the wide-range tier only once
     # alpha > (336 ceil(log2 n))^6; check the dispatch symbolically
