@@ -32,7 +32,6 @@ from .metering import (
 )
 from .reductions import (
     Batch,
-    BlockGrid,
     KeyLemmaReport,
     ParameterError,
     ReductionOutcome,

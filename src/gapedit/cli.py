@@ -199,32 +199,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gapedit",
         description="Gap edit distance testers: experiments, certificates, and checks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate one instance family sample to files")
+    p = sub.add_parser(
+        "gen", help="generate one instance family sample to files", allow_abbrev=False
+    )
     _add_flags(p, "--n", "--k", "--c", "--seed", "--family", "--out")
     p.add_argument("--side", default="yes", choices=("yes", "no"))
     p.add_argument("--alphabet", type=int, default=1 << 32)
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("run", help="run an experiment grid, emitting CSV")
+    p = sub.add_parser("run", help="run an experiment grid, emitting CSV", allow_abbrev=False)
     _add_flags(p, *_FLAGS)
     p.add_argument("--config", default=None, help="grid config file (key = v1, v2 lines)")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("adjudicate", help="error rates + Wilson intervals from a trials CSV")
+    p = sub.add_parser(
+        "adjudicate", help="error rates + Wilson intervals from a trials CSV", allow_abbrev=False
+    )
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_adjudicate)
 
     p = sub.add_parser(
-        "certify-nonadaptive", help="replay a tester across contents and compare read logs"
+        "certify-nonadaptive",
+        help="replay a tester across contents and compare read logs",
+        allow_abbrev=False,
     )
     _add_flags(p, "--n", "--k", "--c", "--h", "--delta", "--trials", "--seed", "--tester")
     p.set_defaults(fn=_cmd_certify)
 
-    p = sub.add_parser("lemma-check", help="brute-force the witness-count inequality")
+    p = sub.add_parser(
+        "lemma-check", help="brute-force the witness-count inequality", allow_abbrev=False
+    )
     p.add_argument("--n", type=int, default=128, help="maximum string length")
     p.add_argument("--tau", default="1,2,4,8")
     p.add_argument("--trials", type=int, default=1000)

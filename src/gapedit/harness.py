@@ -1,8 +1,10 @@
 """Instance generation, experiment orchestration, adjudication, CSV emission.
 
 The CSV schema is fixed (v1): a header row followed by `trial` rows (one per
-tester invocation) and one `summary` row per grid cell. Reruns with the same
-config and seed are byte-identical except for the wall_time_ns column.
+tester invocation) and one `summary` row per grid cell. A trial's truth is
+its instance's construction certificate classified at (alpha, beta). Reruns
+with the same config and seed are byte-identical except for the wall_time_ns
+column.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import io
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from dataclasses import fields as dataclass_fields
 from itertools import product
 from statistics import mean, median
 from typing import Iterable, Optional
@@ -30,10 +33,7 @@ from .strings import (
     NO,
     YES,
     GapInstance,
-    as_view,
     ed_exact,
-    ed_lower_bound,
-    ed_solve_gap,
     gap_ed_banded,
 )
 from .testers import (
@@ -46,24 +46,40 @@ from .testers import (
 
 CSV_SCHEMA_VERSION = "v1"
 
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One experiment outcome, serialized as a `trial` CSV row.
+
+    Its fields, in order, are the trial columns of the CSV schema.
+    """
+
+    tester: str
+    family: str
+    n: int
+    k: int
+    c: float
+    h: Optional[int]
+    delta: float
+    seed: int
+    trial: int
+    verdict: str = ""  # YES/NO, empty when the trial could not run
+    truth: str = ""  # YES/NO/GAP, empty when the instance could not be built
+    queries_total: int = 0
+    queries_distinct: int = 0
+    oracle_calls: int = 0
+    wall_time_ns: int = 0
+    status: str = "ok"
+
+    def as_row(self) -> dict:
+        return asdict(self)
+
+
+# A summary row fills the cell's key, status and mean wall_time_ns among the
+# trial columns, and the four columns after them.
 CSV_COLUMNS = [
     "record",
-    "tester",
-    "family",
-    "n",
-    "k",
-    "c",
-    "h",
-    "delta",
-    "seed",
-    "trial",
-    "verdict",
-    "truth",
-    "queries_total",
-    "queries_distinct",
-    "oracle_calls",
-    "wall_time_ns",
-    "status",
+    *(f.name for f in dataclass_fields(TrialRecord)),
     "yes_error",
     "no_error",
     "mean_queries",
@@ -375,31 +391,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One experiment outcome, serialized as a `trial` CSV row."""
-
-    tester: str
-    family: str
-    n: int
-    k: int
-    c: float
-    h: Optional[int]
-    delta: float
-    seed: int
-    trial: int
-    verdict: str  # YES/NO, empty when the trial could not run
-    truth: str  # YES/NO/GAP/UNKNOWN, empty when the instance could not be built
-    queries_total: int
-    queries_distinct: int
-    oracle_calls: int
-    wall_time_ns: int
-    status: str = "ok"
-
-    def as_row(self) -> dict:
-        return asdict(self)
-
-
 def run_grid(config: GridConfig, out) -> GridResult:
     """Run every cell of the grid, streaming trial and summary rows as CSV."""
     writer = csv.writer(out, lineterminator="\n")
@@ -411,12 +402,10 @@ def run_grid(config: GridConfig, out) -> GridResult:
         beta = k
         fn = TESTERS[tester]
         cell_rs = RandomStream(config.seed).child(f"cell-{cell_idx}")
-        trial_rows = []
-        supported = 0
+        records = []
         reasons: dict[str, None] = {}  # distinct, in order of first appearance
         for t in range(config.trials):
             trs = cell_rs.child(f"trial-{t}")
-            side = "yes" if t % 2 == 0 else "no"
             base = dict(
                 tester=tester, family=family, n=n, k=k, c=c,
                 h=config.h, delta=config.delta, seed=config.seed, trial=t,
@@ -428,32 +417,18 @@ def run_grid(config: GridConfig, out) -> GridResult:
                     n=n,
                     k=k,
                     alphabet_size=max(config.alphabet, n if family == "rotation" else 2),
-                    side=side,
+                    side="yes" if t % 2 == 0 else "no",
                     c=c,
                 )
                 x, y, cert = generate(spec, trs.child("gen"))
             except UnsatisfiableSpecError as exc:
                 reasons[str(exc)] = None
-                trial_rows.append(
-                    TrialRecord(
-                        **base, verdict="", truth="", queries_total=0,
-                        queries_distinct=0, oracle_calls=0, wall_time_ns=0,
-                        status="unsupported",
-                    )
-                )
+                records.append(TrialRecord(**base, status="unsupported"))
                 continue
-            truth = cert.classify(alpha, beta)
-            if truth is None:
-                truth = (
-                    ed_solve_gap(GapInstance(as_view(x), as_view(y), alpha, beta))
-                    if n <= _EXACT_CERT_LIMIT
-                    else "UNKNOWN"
-                )
             xm = MeteredString(x, track_distinct=True)
             ym = MeteredString(y, track_distinct=True)
             t0 = time.perf_counter_ns()
-            status = "ok"
-            verdict = ""
+            verdict, status = "", "ok"
             with oracle_call_tally() as tally:
                 try:
                     verdict = YES if fn(xm.view(), ym.view(), alpha, beta, tester_cfg, trs.child("run")) else NO
@@ -461,13 +436,11 @@ def run_grid(config: GridConfig, out) -> GridResult:
                     reasons[str(exc)] = None
                     status = "unsupported"
             wall = time.perf_counter_ns() - t0
-            if status == "ok":
-                supported += 1
-            trial_rows.append(
+            records.append(
                 TrialRecord(
                     **base,
                     verdict=verdict,
-                    truth=truth,
+                    truth=cert.classify(alpha, beta),
                     queries_total=xm.count + ym.count,
                     queries_distinct=xm.distinct_count() + ym.distinct_count(),
                     oracle_calls=tally[0],
@@ -475,48 +448,37 @@ def run_grid(config: GridConfig, out) -> GridResult:
                     status=status,
                 )
             )
-        for rec in trial_rows:
-            row = rec.as_row()
-            writer.writerow(
-                [_fmt(row.get(colname)) if colname != "record" else "trial" for colname in CSV_COLUMNS]
-            )
-            result.rows += 1
-        summary = summarize_cell([rec.as_row() for rec in trial_rows])
-        writer.writerow(
-            [
-                "summary" if col == "record" else _fmt(summary.get(col))
-                for col in CSV_COLUMNS
-            ]
-        )
-        result.rows += 1
+        rows = [rec.as_row() for rec in records]
+        for record, row in [*(("trial", r) for r in rows), ("summary", summarize_cell(rows))]:
+            writer.writerow([record, *(_fmt(row.get(col)) for col in CSV_COLUMNS[1:])])
+        result.rows += len(rows) + 1
         result.cells += 1
-        if supported == 0:
+        if not any(rec.status == "ok" for rec in records):
             result.unsupported_cells += 1
         result.reasons.extend(f"cell {cell_idx}: {r}" for r in reasons)
     return result
+
+
+def _error_counts(rows: list[dict]) -> tuple[int, int, int, int]:
+    """(YES-truth trials, of them not answered YES, NO-truth trials, of them
+    not answered NO). GAP-truth trials count in neither."""
+    yes = [r["verdict"] for r in rows if r["truth"] == YES]
+    no = [r["verdict"] for r in rows if r["truth"] == NO]
+    return len(yes), sum(v != YES for v in yes), len(no), sum(v != NO for v in no)
 
 
 def summarize_cell(trial_rows: list[dict]) -> dict:
     """Per-cell aggregates: empirical YES/NO error rates, query and time stats."""
     first = trial_rows[0]
     ok = [r for r in trial_rows if r["status"] == "ok"]
-    yes_rows = [r for r in ok if r["truth"] == YES]
-    no_rows = [r for r in ok if r["truth"] == NO]
     summary = {
         key: first[key]
         for key in ("tester", "family", "n", "k", "c", "h", "delta", "seed")
     }
     summary["status"] = "ok" if ok else "unsupported"
-    summary["yes_error"] = (
-        round(sum(1 for r in yes_rows if r["verdict"] != YES) / len(yes_rows), 6)
-        if yes_rows
-        else None
-    )
-    summary["no_error"] = (
-        round(sum(1 for r in no_rows if r["verdict"] != NO) / len(no_rows), 6)
-        if no_rows
-        else None
-    )
+    yt, yw, nt, nw = _error_counts(ok)
+    summary["yes_error"] = round(yw / yt, 6) if yt else None
+    summary["no_error"] = round(nw / nt, 6) if nt else None
     if ok:
         qs = [r["queries_total"] for r in ok]
         summary["mean_queries"] = round(mean(qs), 3)
@@ -567,22 +529,18 @@ def adjudicate(rows: Iterable[dict]) -> list[CellReport]:
         cells.setdefault(key, []).append(row)
     reports = []
     for key in sorted(cells, key=str):
-        rows_ = cells[key]
-        yes_rows = [r for r in rows_ if r["truth"] == YES]
-        no_rows = [r for r in rows_ if r["truth"] == NO]
-        yw = sum(1 for r in yes_rows if r["verdict"] != YES)
-        nw = sum(1 for r in no_rows if r["verdict"] != NO)
+        yt, yw, nt, nw = _error_counts(cells[key])
         reports.append(
             CellReport(
                 key=key,
-                yes_trials=len(yes_rows),
+                yes_trials=yt,
                 yes_wrong=yw,
-                yes_error=yw / len(yes_rows) if yes_rows else 0.0,
-                yes_interval=wilson_interval(yw, len(yes_rows)),
-                no_trials=len(no_rows),
+                yes_error=yw / yt if yt else 0.0,
+                yes_interval=wilson_interval(yw, yt),
+                no_trials=nt,
                 no_wrong=nw,
-                no_error=nw / len(no_rows) if no_rows else 0.0,
-                no_interval=wilson_interval(nw, len(no_rows)),
+                no_error=nw / nt if nt else 0.0,
+                no_interval=wilson_interval(nw, nt),
             )
         )
     return reports

@@ -78,33 +78,8 @@ def _tally(k: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Block grids and outcomes
+# Reduction outcomes and batches
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockGrid:
-    """Level-p partition of [0..n) into ceil(n/2^p) blocks of length 2^p.
-
-    Blocks tile [0..n) disjointly; only the last one may be shorter.
-    """
-
-    n: int
-    p: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.p < 0:
-            raise ValueError("need n >= 1 and p >= 0")
-
-    @property
-    def m(self) -> int:
-        return ceil_div(self.n, 1 << self.p)
-
-    def block(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.m:
-            raise IndexError(f"block {i} of {self.m}")
-        start = i << self.p
-        return start, min(self.n, start + (1 << self.p)) - start
 
 
 @dataclass
@@ -258,7 +233,8 @@ def _run_gap_calls(
 def _draw_blocks(n: int, levels: list[tuple[int, int]], rs: RandomStream) -> list[tuple[int, int]]:
     """Uniform (start, length) block choices, level-major, iteration-minor.
 
-    One vectorized draw per level; the blocks are those of `BlockGrid(n, p)`.
+    One vectorized draw per level. Level p tiles [0..n) with blocks of length
+    2^p, and only the last one may be shorter.
     """
     plan = []
     for p, iters in levels:
@@ -334,7 +310,6 @@ class KeyLemmaReport:
     """
 
     applicable: bool
-    holds: bool
     ed: int
     tau: int
     per_level: dict[int, int] = field(default_factory=dict)
@@ -343,6 +318,10 @@ class KeyLemmaReport:
     def witness_sum(self) -> int:
         lo = ceil_log2(max(self.tau, 1))
         return sum(c for p, c in self.per_level.items() if p >= lo)
+
+    @property
+    def holds(self) -> bool:
+        return self.applicable and 2 * self.tau * self.witness_sum >= self.ed
 
 
 def key_lemma_check(x, y, tau: int) -> KeyLemmaReport:
@@ -358,25 +337,18 @@ def key_lemma_check(x, y, tau: int) -> KeyLemmaReport:
     n = len(x)
     ed = ed_exact(x, y)
     if ed <= tau:
-        return KeyLemmaReport(False, False, ed, tau)
+        return KeyLemmaReport(False, ed, tau)
     per_level: dict[int, int] = {}
     for p in range(0, ceil_log2(n) + 1):
         if (1 << p) <= tau:
             per_level[p] = 0  # block distance <= block length <= tau
             continue
-        grid = BlockGrid(n, p)
-        cnt = 0
-        for i in range(grid.m):
-            start, length = grid.block(i)
-            if (
-                gap_ed_banded(x[start : start + length], y[start : start + length], tau)
-                is EXCEEDS
-            ):
-                cnt += 1
-        per_level[p] = cnt
-    report = KeyLemmaReport(True, False, ed, tau, per_level)
-    holds = 2 * tau * report.witness_sum >= ed
-    return KeyLemmaReport(True, holds, ed, tau, per_level)
+        size = 1 << p
+        per_level[p] = sum(
+            gap_ed_banded(x[i : i + size], y[i : i + size], tau) is EXCEEDS
+            for i in range(0, n, size)
+        )
+    return KeyLemmaReport(True, ed, tau, per_level)
 
 
 def shifted_threshold(n: int, alpha: int, beta: int, phi: int) -> int:

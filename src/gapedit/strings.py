@@ -33,10 +33,8 @@ class _Exceeds:
 EXCEEDS = _Exceeds()
 
 
-def symbols(s: Union[str, bytes, Iterable[int], "View"]) -> list[int]:
+def symbols(s: Union[str, bytes, Iterable[int]]) -> list[int]:
     """Normalize text/bytes/int iterables into a list of symbol code points."""
-    if isinstance(s, View):
-        return s.fetch()
     if isinstance(s, str):
         return [ord(c) for c in s]
     if isinstance(s, (bytes, bytearray)):
@@ -53,7 +51,7 @@ class View:
     """A (source, start, length) window into a symbol sequence.
 
     The source may be a plain sequence or a metered string (anything with
-    ``read``/``read_range``); reads through a metered source are charged.
+    ``read_many``/``read_range``); reads through a metered source are charged.
     Sub-views compose: ``v.sub(a, l).sub(b, m) == v.sub(a + b, m)``.
     """
 
@@ -74,14 +72,6 @@ class View:
         if start < 0 or length < 0 or start + length > self.length:
             raise ValueError("sub-view out of bounds")
         return View(self.source, self.start + start, length)
-
-    def read(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"view read at {i}, length {self.length}")
-        src = self.source
-        if hasattr(src, "read"):
-            return src.read(self.start + i)
-        return src[self.start + i]
 
     def read_many(self, positions: Sequence[int]) -> list[int]:
         length = self.length

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gapedit.harness import (
+    FAMILIES,
     GridConfig,
     InstanceSpec,
     TrialRecord,
@@ -17,6 +18,7 @@ from gapedit.harness import (
     adjudicate,
     generate,
     grid_csv_text,
+    ladder_alpha,
     parse_config_text,
     summarize_cell,
     wilson_interval,
@@ -98,6 +100,34 @@ def test_construction_bounds_match_exact_when_affordable():
             x, y, cert = _generate_raw(spec, RandomStream(seed).child("gen"))
             d = ed_exact(x, y)
             assert cert.lo <= d <= cert.hi, (family, side, cert, d)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("side", ("yes", "no"))
+def test_construction_certificate_decides_truth(family, side):
+    # run_grid takes a trial's truth from the construction certificate alone,
+    # so every family must certify YES, NO or GAP at beta = k, also past the
+    # n <= 4096 limit where generate refines it with ed_exact
+    built = 0
+    for n, k, c, alphabet in (
+        (64, 2, 2.0, 2),
+        (300, 7, 1.5, 3),
+        (1000, 0, 2.0, 1 << 32),
+        (5000, 16, 2.0, 1 << 32),
+        (5000, 40, 3.0, 2),
+        (8192, 3, 1.2, 3),
+    ):
+        spec = InstanceSpec(
+            family=family, n=n, k=k, side=side, c=c,
+            alphabet_size=max(alphabet, n if family == "rotation" else 2),
+        )
+        try:
+            _, _, cert = _generate_raw(spec, RandomStream(n + k).child("gen"))
+        except UnsatisfiableSpecError:
+            continue
+        built += 1
+        assert cert.classify(ladder_alpha(k, c), k) is not None, (spec, cert)
+    assert built >= 3
 
 
 def test_truth_classification():
@@ -390,6 +420,9 @@ def test_cli_certify_nonadaptive():
         ["certify-nonadaptive", "--family", "rotation"],
         ["certify-nonadaptive", "--out", "f.csv"],
         ["run", "--h", "three"],
+        ["gen", "--h", "5"],  # not a prefix of --help
+        ["run", "--tri", "5"],  # not a prefix of --trials
+        ["lemma-check", "--tri", "5"],
     ),
 )
 def test_cli_rejects_flags_a_subcommand_does_not_read(argv):

@@ -63,7 +63,7 @@ def test_counter_additivity():
 def test_view_reads_charge_meter():
     ms = MeteredString(list(range(16)))
     v = View(ms, 4, 8)
-    assert v.read(0) == 4
+    assert v.read_many([0]) == [4]
     assert v.fetch(2, 3) == [6, 7, 8]
     assert ms.count == 4
     raw = View(list(range(16)), 4, 8)

@@ -9,7 +9,6 @@ from gapedit.intmath import ceil_div, ceil_log2
 from gapedit.metering import MeteredString, RandomStream
 from gapedit.reductions import (
     Batch,
-    BlockGrid,
     ParameterError,
     exact_gap_oracle,
     exact_shifted_oracle,
@@ -45,16 +44,6 @@ def disjoint_pair(seed, n, alphabet=1 << 20):
 def fetched(oracle):
     """A pair oracle on two Views: fetch both, x first, as the reductions do."""
     return lambda xv, yv, *args: oracle(xv.fetch(), yv.fetch(), *args)
-
-
-def test_block_grid():
-    g = BlockGrid(10, 2)
-    assert g.m == 3
-    assert [g.block(i) for i in range(3)] == [(0, 4), (4, 4), (8, 2)]
-    blocks = [g.block(i) for i in range(g.m)]
-    assert sum(length for _, length in blocks) == 10
-    with pytest.raises(IndexError):
-        g.block(3)
 
 
 def test_single_level_plan_arithmetic():
@@ -146,11 +135,9 @@ def test_multilevel_rotation_no_rate():
     alpha, phi = 80, 8
     assert 2 * s > alpha >= 10 * phi
     # oracle-check the block-distance claim at the first coarse level
-    p = ceil_log2(2 * s)
-    grid = BlockGrid(n, p)
-    for i in range(grid.m):
-        start, length = grid.block(i)
-        assert ed_exact(x[start : start + length], y[start : start + length]) == 2 * s
+    size = 1 << ceil_log2(2 * s)
+    for start in range(0, n, size):
+        assert ed_exact(x[start : start + size], y[start : start + size]) == 2 * s
     xv, yv = as_view(x), as_view(y)
     noes = sum(
         not multilevel_reduce(xv, yv, alpha, phi, phi, exact_gap_oracle, RandomStream(s_)).yes
@@ -252,12 +239,8 @@ def test_key_lemma_counts_match_exact_membership():
         if not rep.applicable:
             continue
         for p, count in rep.per_level.items():
-            grid = BlockGrid(n, p)
-            want = 0
-            for i in range(grid.m):
-                a, ln = grid.block(i)
-                if ed_exact(x[a : a + ln], y[a : a + ln]) > tau:
-                    want += 1
+            size = 1 << p
+            want = sum(ed_exact(x[a : a + size], y[a : a + size]) > tau for a in range(0, n, size))
             assert count == want
 
 

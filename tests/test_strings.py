@@ -333,3 +333,5 @@ def test_symbols_normalization():
     assert symbols([3, 5]) == [3, 5]
     with pytest.raises(ValueError):
         symbols([-1])
+    with pytest.raises(TypeError):
+        symbols(as_view([1]))  # a View is fetched, not normalised
