@@ -98,16 +98,20 @@ class UnsatisfiableSpecError(ValueError):
 def ladder_alpha(k: int, c: float) -> int:
     """The NO threshold alpha = int(k**c) of a (k, c) grid point.
 
-    The power is a float power, as in every recorded CSV. A k or k**c past
-    the float range raises UnsatisfiableSpecError instead of OverflowError,
-    so the grid records an unsupported cell.
+    The power is a float power, as in every recorded CSV. A negative k, a
+    zero k with c < 0, and a k or k**c past the float range raise
+    UnsatisfiableSpecError, so the grid records an unsupported cell.
     """
+    if k < 0:
+        raise UnsatisfiableSpecError(f"alpha = k^c needs k >= 0, got k={k}")
     try:
         return int(k**c)
     except OverflowError:
         raise UnsatisfiableSpecError(
             f"alpha = k^c is past the float range at c={c} and a {len(str(k))}-digit k"
         ) from None
+    except ZeroDivisionError:
+        raise UnsatisfiableSpecError(f"alpha = k^c is undefined at k=0, c={c}") from None
 
 
 @dataclass(frozen=True)
@@ -312,6 +316,11 @@ class GridConfig:
     seed: int = 1
     alphabet: int = 1 << 32
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        TesterConfig(delta=self.delta, h=self.h)  # its range checks, before any output
+
     def cells(self):
         return list(product(self.tester, self.family, self.n, self.c, self.k))
 
@@ -412,6 +421,10 @@ def run_grid(config: GridConfig, out) -> GridResult:
             )
             try:
                 alpha = ladder_alpha(k, c)
+                if alpha < beta:
+                    raise UnsatisfiableSpecError(
+                        f"alpha = int(k^c) = {alpha} < beta = k = {beta}"
+                    )
                 spec = InstanceSpec(
                     family=family,
                     n=n,

@@ -152,14 +152,7 @@ class MeteredString:
         return self._data
 
     def read(self, i: int) -> int:
-        if not 0 <= i < len(self._data):
-            raise IndexError(f"read at {i} out of bounds [0, {len(self._data)})")
-        self.count += 1
-        if self._log is not None:
-            self._log.append(i)
-        if self._touched is not None:
-            self._touched[i] = 1
-        return self._data[i]
+        return self.read_many([i])[0]
 
     def read_many(self, positions: Sequence[int]) -> list[int]:
         data = self._data
@@ -278,6 +271,8 @@ def certify_non_adaptive(
     """
     if trials < 2:
         raise ValueError("certification needs at least 2 content trials")
+    if n < 1:
+        raise ValueError(f"certification needs n >= 1, got {n}")
     reference: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for t in range(trials):
         crs = RandomStream(seed).child(f"content-{t}")

@@ -29,8 +29,8 @@ one call per block window.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, Sequence
@@ -50,31 +50,28 @@ PlanOracle = Callable[..., list[list[bool]]]  # gap_to_shifted's; see the module
 
 
 # ---------------------------------------------------------------------------
-# Oracle-call accounting (used by the benchmark harness)
+# Oracle-call accounting (feeds the grid runner's oracle_calls column)
 # ---------------------------------------------------------------------------
 
-_tally_state = threading.local()
+# The boxes of the tallies open in this context, outermost first. Every
+# thread starts with an empty context, so a tally counts only its own thread.
+_open_tallies: ContextVar[tuple[list[int], ...]] = ContextVar("open_tallies", default=())
 
 
 @contextmanager
 def oracle_call_tally():
-    """Context manager counting leaf oracle decisions made inside it."""
-    stack = getattr(_tally_state, "stack", None)
-    if stack is None:
-        stack = _tally_state.stack = []
+    """Context manager counting leaf oracle decisions made inside it, nested tallies' too."""
     box = [0]
-    stack.append(box)
+    token = _open_tallies.set(_open_tallies.get() + (box,))
     try:
         yield box
     finally:
-        stack.pop()
+        _open_tallies.reset(token)
 
 
 def _tally(k: int = 1) -> None:
-    stack = getattr(_tally_state, "stack", None)
-    if stack:
-        for box in stack:
-            box[0] += k
+    for box in _open_tallies.get():
+        box[0] += k
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Exact edit-distance computations: ground truth and leaf oracles.
 
 Symbols are unsigned integer code points. ``symbols`` is the one
-normaliser; ``MeteredString`` and ``as_view`` (for text and bytes) call it
-where input enters. Below that a string is a ``View`` or the list its
-``fetch`` returned: the distance kernels use the two sequences they are
-given (two ``str`` work as well) and never fetch a ``View``. All functions
-here are pure and safe to call from multiple threads.
+normaliser, run by ``MeteredString`` where input enters; ``as_view`` wraps
+raw input in one. Below that a string is a ``View`` of a ``MeteredString``
+or the list its ``fetch`` returned: the distance kernels use the sequences
+they are given (two ``str`` work too) and never fetch a ``View``. All
+functions here are pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ def symbols(s: Union[str, bytes, Iterable[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class View:
-    """A (source, start, length) window into a symbol sequence.
+    """A (source, start, length) window into a ``MeteredString``.
 
-    The source may be a plain sequence or a metered string (anything with
-    ``read_many``/``read_range``); reads through a metered source are charged.
+    Every read goes through the source, which charges it.
     Sub-views compose: ``v.sub(a, l).sub(b, m) == v.sub(a + b, m)``.
     """
 
@@ -80,30 +79,24 @@ class View:
             raise IndexError(f"view read at {p}, length {length}")
         if self.start:
             positions = [self.start + p for p in positions]
-        src = self.source
-        if hasattr(src, "read_many"):
-            return src.read_many(positions)
-        return [src[p] for p in positions]
+        return self.source.read_many(positions)
 
     def fetch(self, start: int = 0, length: int | None = None) -> list[int]:
-        """Materialize a sub-range as a list (charged if the source is metered)."""
+        """Materialize a sub-range as a list, charged to the source."""
         if length is None:
             length = self.length - start
         if start < 0 or length < 0 or start + length > self.length:
             raise ValueError("fetch out of bounds")
-        src = self.source
-        if hasattr(src, "read_range"):
-            return src.read_range(self.start + start, length)
-        return list(src[self.start + start : self.start + start + length])
+        return self.source.read_range(self.start + start, length)
 
 
 def as_view(s) -> View:
+    """``s`` if it is a View, else a View of a fresh ``MeteredString(s)``."""
     if isinstance(s, View):
         return s
-    if isinstance(s, (str, bytes, bytearray)):
-        data = symbols(s)
-        return View(data, 0, len(data))
-    return View(s, 0, len(s))
+    from .metering import MeteredString  # metering imports this module
+
+    return MeteredString(s).view()
 
 
 @dataclass(frozen=True)

@@ -468,6 +468,65 @@ def test_cli_alpha_past_float_range_is_an_unsupported_cell(tmp_path, capsys):
     assert "unsupported_cells=1" in err
 
 
+@pytest.mark.parametrize(
+    "k, c, reason",
+    [
+        pytest.param("-2", "1.5", "alpha = k^c needs k >= 0", id="negative-k"),
+        pytest.param("0", "-1", "alpha = k^c is undefined at k=0", id="zero-k-negative-c"),
+    ],
+)
+def test_cli_alpha_without_a_value_is_an_unsupported_cell(tmp_path, capsys, k, c, reason):
+    out = tmp_path / "o.csv"
+    code = cli_main(["run", "--n", "64", "--k", k, "--c", c, "--trials", "2", "--out", str(out)])
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 3 and all(r["status"] == "unsupported" for r in rows)
+    assert f"unsupported: cell 0: {reason}" in capsys.readouterr().err
+
+
+def test_cell_with_alpha_below_beta_is_unsupported_not_fatal(tmp_path, capsys):
+    # at c = 0.5, alpha = int(20^0.5) = 4 < beta = 20: no gap instance exists
+    cfgfile = tmp_path / "grid.cfg"
+    cfgfile.write_text("n = 512\nk = 20\nc = 0.5, 2\ntester = banded, main\ntrials = 2\n")
+    out = tmp_path / "o.csv"
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    summaries = [(r["tester"], r["c"], r["status"]) for r in rows if r["record"] == "summary"]
+    assert summaries == [
+        ("banded", "0.5", "unsupported"),
+        ("banded", "2", "ok"),
+        ("main", "0.5", "unsupported"),
+        ("main", "2", "ok"),
+    ]
+    err = capsys.readouterr().err
+    for cell in (0, 2):
+        assert f"unsupported: cell {cell}: alpha = int(k^c) = 4 < beta = k = 20" in err
+
+
+@pytest.mark.parametrize(
+    "flags, words",
+    [
+        pytest.param(["--trials", "0"], "trials must be >= 1", id="zero-trials"),
+        pytest.param(["--delta", "1.5"], "delta must lie in (0,1)", id="delta-out-of-range"),
+    ],
+)
+def test_cli_run_rejects_a_grid_that_cannot_run_before_writing(tmp_path, capsys, flags, words):
+    out = tmp_path / "o.csv"
+    assert cli_main(["run", "--n", "64", *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert words in capsys.readouterr().err
+
+
+def test_parse_config_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        parse_config_text("trials = 0")
+
+
+def test_cli_certify_nonadaptive_rejects_empty_strings(capsys):
+    assert cli_main(["certify-nonadaptive", "--n", "0"]) == 1
+    assert "certification needs n >= 1" in capsys.readouterr().err
+
+
 def test_cli_error_exit_code(tmp_path):
     assert cli_main(["adjudicate", "--in", str(tmp_path / "missing.csv")]) == 1
 

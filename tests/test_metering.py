@@ -66,8 +66,6 @@ def test_view_reads_charge_meter():
     assert v.read_many([0]) == [4]
     assert v.fetch(2, 3) == [6, 7, 8]
     assert ms.count == 4
-    raw = View(list(range(16)), 4, 8)
-    assert raw.fetch() == list(range(4, 12))  # no meter, no charge
 
 
 def test_read_many_bounds_name_the_first_bad_position():
@@ -93,10 +91,6 @@ def test_view_read_many_bounds_are_the_view_s_own():
     assert whole.read_many([15, 0]) == [15, 0] and ms.log == [8, 4, 8, 15, 0]
     with pytest.raises(IndexError, match="view read at 16, length 16"):
         whole.read_many([0, 16])
-    raw = View(list(range(16)), 4, 5)
-    assert raw.read_many([0, 4]) == [4, 8]
-    with pytest.raises(IndexError, match="view read at 5, length 5"):
-        raw.read_many([5])
 
 
 def test_uniform_index_basics():

@@ -1,6 +1,7 @@
 """Block reductions: planned arithmetic, verdict behavior, witness lemma."""
 
 import random
+import threading
 
 import pytest
 
@@ -178,6 +179,42 @@ def test_oracle_call_tally():
         assert short.yes and max(lengths) <= 64
         assert xm.count == ym.count == sum(lengths) > 0
     assert tally[0] == out.call_count + 4 + short.call_count == 13
+
+
+def test_oracle_call_tally_scopes():
+    reductions._tally(5)  # no tally open: nothing to count into
+    with oracle_call_tally() as outer:
+        assert outer[0] == 0
+        reductions._tally()
+        with oracle_call_tally() as inner:
+            reductions._tally(2)
+        reductions._tally()
+    assert (outer[0], inner[0]) == (4, 2)
+
+    seen = []
+
+    def worker():
+        reductions._tally(7)  # the main thread's open tally does not see this
+        with oracle_call_tally() as own:
+            reductions._tally(3)
+        seen.append(own[0])
+
+    with oracle_call_tally() as main_box:
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=10)
+        reductions._tally()
+    assert not thread.is_alive() and seen == [3] and main_box[0] == 1
+
+    with pytest.raises(RuntimeError):
+        with oracle_call_tally() as failed:
+            reductions._tally()
+            raise RuntimeError("unwind")
+    reductions._tally()
+    assert failed[0] == 1  # the raise closed the tally
+    with oracle_call_tally() as fresh:
+        reductions._tally()
+    assert fresh[0] == 1
 
 
 def test_equal_blocks_are_yes_without_a_dp(monkeypatch):

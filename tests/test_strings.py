@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapedit.metering import MeteredString
 from gapedit.strings import (
     EXCEEDS,
     GAP,
@@ -304,14 +305,14 @@ def test_ed_solve_gap_examples():
 
 def test_view_composition():
     data = list(range(100))
-    v = View(data, 10, 60)
+    v = View(MeteredString(data), 10, 60)
     assert v.sub(5, 20).sub(3, 7).fetch() == data[18:25]
     assert v.sub(5, 20).sub(3, 7) == v.sub(8, 7)
     assert len(v.sub(0, 0)) == 0
     with pytest.raises(ValueError):
         v.sub(55, 10)
     with pytest.raises(ValueError):
-        View(data, 90, 20)
+        View(v.source, 90, 20)
 
 
 def test_instance_validation():
