@@ -153,7 +153,7 @@ def _cmd_certify(args) -> int:
     if result.passed:
         print(
             f"PASS tester={args.tester} n={args.n} k={args.k} c={args.c} "
-            f"trials={result.trials} plan_reads={len(result.plan.entries)}"
+            f"trials={result.trials} plan_reads={sum(map(len, result.plan))}"
         )
         return 0
     t, ref, got = result.witness
@@ -166,6 +166,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"lemma-check needs --trials >= 1, got {args.trials}")
+    if args.n < 2:
+        raise ValueError(f"lemma-check needs --n >= 2, got {args.n}")
     rng = RandomStream(args.seed)
     taus = [int(v) for v in args.tau.split(",")]
     worst = None

@@ -44,9 +44,6 @@ from .testers import (
     main_gap,
 )
 
-CSV_SCHEMA_VERSION = "v1"
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One experiment outcome, serialized as a `trial` CSV row.
@@ -120,10 +117,6 @@ class TruthCert:
 
     lo: int
     hi: int
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
 
     def classify(self, alpha: int, beta: int) -> Optional[str]:
         if self.hi <= beta:
@@ -305,7 +298,7 @@ TESTERS = {
 
 @dataclass(frozen=True)
 class GridConfig:
-    n: tuple[int, ...] = (16384,)
+    n: tuple[int, ...] = (4096,)
     k: tuple[int, ...] = (16,)
     c: tuple[float, ...] = (2.0,)
     tester: tuple[str, ...] = ("main",)
@@ -320,6 +313,12 @@ class GridConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         TesterConfig(delta=self.delta, h=self.h)  # its range checks, before any output
+        for t in self.tester:
+            if t not in TESTERS:
+                raise ValueError(f"unknown tester {t!r}; known: {sorted(TESTERS)}")
+        for f in self.family:
+            if f not in FAMILIES:
+                raise ValueError(f"unknown family {f!r}; known: {list(FAMILIES)}")
 
     def cells(self):
         return list(product(self.tester, self.family, self.n, self.c, self.k))
@@ -363,14 +362,7 @@ def parse_config_text(text: str) -> GridConfig:
                 raise ValueError(f"unknown key {key!r}; known: {known}")
         except ValueError as exc:
             raise ValueError(f"config line {ln}: {exc}") from None
-    cfg = GridConfig(**fields)
-    for t in cfg.tester:
-        if t not in TESTERS:
-            raise ValueError(f"unknown tester {t!r}; known: {sorted(TESTERS)}")
-    for f in cfg.family:
-        if f not in FAMILIES:
-            raise ValueError(f"unknown family {f!r}; known: {list(FAMILIES)}")
-    return cfg
+    return GridConfig(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,6 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def floor_log2(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"floor_log2 needs n >= 1, got {n}")
-    return n.bit_length() - 1
-
-
 def floor_log2_ratio(num: int, den: int) -> int:
     """floor(log2(num/den)) for num >= den >= 1, computed without floats."""
     if den < 1 or num < den:

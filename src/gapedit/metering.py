@@ -184,36 +184,22 @@ class MeteredString:
             raise RuntimeError("distinct tracking is not enabled")
         return sum(self._touched)
 
-    def reset(self) -> None:
-        self.count = 0
-        if self._log is not None:
-            self._log.clear()
-        if self._touched is not None:
-            self._touched[:] = bytes(len(self._touched))
 
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """A fixed list of (string-id, position) reads; 'X' or 'Y' per entry."""
-
-    entries: tuple[tuple[str, int], ...]
-
-    def validate_bounds(self, nx: int, ny: int) -> None:
-        for sid, pos in self.entries:
-            bound = nx if sid == "X" else ny
-            if sid not in ("X", "Y") or not 0 <= pos < bound:
-                raise ValueError(f"plan entry {(sid, pos)} out of bounds")
+Logs = tuple[list[int], list[int]]  # positions read of x, then of y, in order
 
 
 @dataclass(frozen=True)
 class CertificationResult:
+    """A PASS carries the plan: the (x, y) read logs every content produced.
+
+    A FAIL carries (t, first logs, content t's logs) for the first content
+    pair t whose logs differ.
+    """
+
     passed: bool
     trials: int
-    plan: Optional[SamplePlan] = None
-    witness: Optional[tuple[int, tuple, tuple]] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
+    plan: Optional[Logs] = None
+    witness: Optional[tuple[int, Logs, Logs]] = None
 
 
 Tester = Callable[[MeteredString, MeteredString, RandomStream], object]
@@ -273,21 +259,16 @@ def certify_non_adaptive(
         raise ValueError("certification needs at least 2 content trials")
     if n < 1:
         raise ValueError(f"certification needs n >= 1, got {n}")
-    reference: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    reference: Optional[Logs] = None
     for t in range(trials):
         crs = RandomStream(seed).child(f"content-{t}")
         x, y = _CONTENTS[t % len(_CONTENTS)](crs, n, alphabet)
         xm = MeteredString(x, log=True)
         ym = MeteredString(y, log=True)
         tester(xm, ym, RandomStream(seed))
-        logs = (tuple(xm.log), tuple(ym.log))
+        logs = (xm.log, ym.log)
         if reference is None:
             reference = logs
         elif logs != reference:
             return CertificationResult(False, trials, witness=(t, reference, logs))
-    assert reference is not None
-    plan = SamplePlan(
-        tuple(("X", p) for p in reference[0]) + tuple(("Y", p) for p in reference[1])
-    )
-    plan.validate_bounds(n, n)
-    return CertificationResult(True, trials, plan=plan)
+    return CertificationResult(True, trials, plan=reference)

@@ -1,6 +1,6 @@
 """Exact edit-distance computations: ground truth and leaf oracles.
 
-Symbols are unsigned integer code points. ``symbols`` is the one
+A symbol is an unsigned integer code point. ``symbols`` is the one
 normaliser, run by ``MeteredString`` where input enters; ``as_view`` wraps
 raw input in one. Below that a string is a ``View`` of a ``MeteredString``
 or the list its ``fetch`` returned: the distance kernels use the sequences
@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
-
-Symbol = int
 
 YES = "YES"
 NO = "NO"

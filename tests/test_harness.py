@@ -2,6 +2,7 @@
 
 import csv
 import io
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,9 @@ from gapedit.harness import (
 from gapedit.metering import RandomStream
 from gapedit.strings import ed_exact, ed_lower_bound
 from gapedit.cli import build_parser, main as cli_main
+from test_golden import blank_wall_time
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def gen(family, n, k, side="yes", seed=1, c=2.0, alphabet=1 << 32):
@@ -53,7 +57,7 @@ def test_random_edits_zero_is_identity():
 
 def test_random_edits_yes_side():
     x, y, cert = gen("random-edits", 300, 7)
-    assert cert.exact and cert.lo <= 7
+    assert cert.lo == cert.hi and cert.lo <= 7
     assert ed_exact(x, y) == cert.lo
 
 
@@ -77,7 +81,7 @@ def test_padded_hard_family():
     # the whole pair equals the core distance
     x, y, cert = gen("padded-hard", 400, 2, side="yes")  # alpha=4, core=24
     assert len(x) == len(y) == 400
-    assert cert.exact and cert.lo <= 2
+    assert cert.lo == cert.hi and cert.lo <= 2
     assert ed_exact(x, y) == cert.lo
     x, y, cert = gen("padded-hard", 400, 2, side="no")
     assert cert.lo > 4
@@ -340,6 +344,15 @@ def test_parse_config_rejects_unknown_tester():
 
 
 @pytest.mark.parametrize(
+    "axis, words",
+    [("tester", "unknown tester 'nope'"), ("family", "unknown family 'nope'")],
+)
+def test_grid_config_rejects_unknown_names(axis, words):
+    with pytest.raises(ValueError, match=words):
+        GridConfig(n=(64,), k=(2,), trials=1, **{axis: ("nope",)})
+
+
+@pytest.mark.parametrize(
     "text, line, words",
     [
         ("n = 1024\ntrails = 500", 2, "unknown key 'trails'"),
@@ -441,6 +454,37 @@ def test_cli_parses_h_once():
 def test_cli_lemma_check():
     code = cli_main(["lemma-check", "--n", "64", "--trials", "300", "--seed", "4"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flags, words",
+    [
+        pytest.param(["--trials", "0"], "needs --trials >= 1", id="zero-trials"),
+        pytest.param(["--n", "1"], "needs --n >= 2", id="n-below-two"),
+    ],
+)
+def test_cli_lemma_check_rejects_an_empty_check(capsys, flags, words):
+    assert cli_main(["lemma-check", *flags]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error: ") and words in captured.err
+
+
+def test_readme_certify_example_passes(capsys):
+    lines = [ln.strip() for ln in README.read_text(encoding="utf-8").splitlines()]
+    (example,) = [ln for ln in lines if ln.startswith("gapedit certify-nonadaptive ")]
+    assert cli_main(shlex.split(example)[1:]) == 0
+    assert capsys.readouterr().out.startswith("PASS tester=main ")
+
+
+def test_run_flag_and_config_defaults_agree(tmp_path):
+    flags_csv, config_csv = tmp_path / "a.csv", tmp_path / "b.csv"
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("trials = 1\nseed = 2\n")
+    assert cli_main(["run", "--trials", "1", "--seed", "2", "--out", str(flags_csv)]) == 0
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(config_csv)]) == 0
+    flags_text = blank_wall_time(flags_csv.read_text(encoding="utf-8"))
+    assert flags_text == blank_wall_time(config_csv.read_text(encoding="utf-8"))
 
 
 def test_cli_exit_code_unsupported_grid(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gapedit.intmath import (
     ceil_div,
     ceil_log2,
-    floor_log2,
     floor_log2_ratio,
     iroot,
     isqrt_ceil,
@@ -26,8 +25,6 @@ def test_ceil_div(a, b):
 def test_log2_bounds(n):
     p = ceil_log2(n)
     assert (1 << p) >= n and (p == 0 or (1 << (p - 1)) < n)
-    q = floor_log2(n)
-    assert (1 << q) <= n < (1 << (q + 1))
 
 
 @given(st.integers(1, 1 << 40), st.integers(1, 1 << 40))
@@ -41,7 +38,7 @@ def test_floor_log2_ratio(num, den):
 
 
 def test_log_edge_cases():
-    assert ceil_log2(1) == 0 and floor_log2(1) == 0
+    assert ceil_log2(1) == 0
     assert ceil_log2(2) == 1 and ceil_log2(3) == 2
     with pytest.raises(ValueError):
         ceil_log2(0)

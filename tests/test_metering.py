@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gapedit.metering import (
     MeteredString,
     RandomStream,
-    SamplePlan,
     certify_non_adaptive,
 )
 from gapedit.strings import View
@@ -19,11 +18,11 @@ def test_counter_and_log_semantics():
     ms.read(3)
     ms.read(3)
     assert ms.count == 2  # no caching at this layer
-    ms.reset()
     ms.read(3)
     ms.read(1)
     ms.read(3)
-    assert ms.log == [3, 1, 3]
+    assert ms.count == 5
+    assert ms.log == [3, 3, 3, 1, 3]
     with pytest.raises(IndexError):
         ms.read(4)
 
@@ -37,8 +36,7 @@ def test_read_range_and_distinct():
     assert ms.count == 20 and ms.distinct_count() == 10
     ms.read_many([0, 0, 29])
     assert ms.count == 23 and ms.distinct_count() == 12
-    ms.reset()
-    assert ms.count == 0 and ms.distinct_count() == 0 and ms.log == []
+    assert ms.log == [*range(5, 15), *range(5, 15), 0, 0, 29]
 
 
 def test_counter_additivity():
@@ -157,15 +155,6 @@ def test_bulk_symbols_in_range():
     assert len(syms) == 1000 and all(0 <= s < 7 for s in syms)
 
 
-def test_sample_plan_bounds():
-    plan = SamplePlan((("X", 0), ("Y", 3)))
-    plan.validate_bounds(1, 4)
-    with pytest.raises(ValueError):
-        plan.validate_bounds(1, 3)
-    with pytest.raises(ValueError):
-        SamplePlan((("Z", 0),)).validate_bounds(1, 1)
-
-
 def _sampling_tester(xm, ym, rs):
     n = len(xm)
     positions = [rs.uniform_index(n) for _ in range(8)]
@@ -183,7 +172,7 @@ def _adaptive_probe(xm, ym, rs):
 def test_certify_passes_sampler():
     result = certify_non_adaptive(_sampling_tester, 64, seed=31, trials=5, alphabet=4)
     assert result.passed
-    assert len(result.plan.entries) == 16
+    assert [len(log) for log in result.plan] == [8, 8]
 
 
 def test_certify_fails_adaptive_probe():

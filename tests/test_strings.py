@@ -1,8 +1,12 @@
 """Core string oracles against brute force and stated identities."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -336,3 +340,18 @@ def test_symbols_normalization():
         symbols([-1])
     with pytest.raises(TypeError):
         symbols(as_view([1]))  # a View is fetched, not normalised
+
+
+def test_package_root_imports_nothing():
+    # importing one module must not load its siblings or numpy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    probe = (
+        "import sys, gapedit.strings; print(sorted(m for m in "
+        "('numpy', 'gapedit.metering', 'gapedit.harness') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert proc.stdout.strip() == "[]"
