@@ -8,10 +8,13 @@ Exit codes: 0 success, 2 when a grid contained only unsupported cells,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from typing import Optional
 
 from .harness import (
+    _AXIS_KEYS,
+    _SCALAR_KEYS,
     FAMILIES,
     TESTERS,
     GridConfig,
@@ -21,7 +24,6 @@ from .harness import (
     generate,
     ladder_alpha,
     parse_config_text,
-    read_trial_rows,
     run_grid,
 )
 from .metering import RandomStream, certify_non_adaptive
@@ -30,17 +32,20 @@ from .testers import TesterConfig
 
 
 _FLAGS = {
-    "--n": dict(type=int, default=4096),
-    "--k": dict(type=int, default=16),
-    "--c": dict(type=float, default=2.0),
-    "--h": dict(type=_h_value, default="auto"),  # argparse converts the default too
-    "--delta": dict(type=float, default=0.1),
-    "--trials": dict(type=int, default=10),
-    "--seed": dict(type=int, default=1),
-    "--tester": dict(default="main", choices=sorted(TESTERS)),
-    "--family": dict(default="random-edits", choices=FAMILIES),
+    "--n": dict(type=int, default=GridConfig.n[0]),
+    "--k": dict(type=int, default=GridConfig.k[0]),
+    "--c": dict(type=float, default=GridConfig.c[0]),
+    "--h": dict(type=_h_value, default=GridConfig.h),
+    "--delta": dict(type=float, default=GridConfig.delta),
+    "--trials": dict(type=int, default=GridConfig.trials),
+    "--seed": dict(type=int, default=GridConfig.seed),
+    "--tester": dict(default=GridConfig.tester[0], choices=sorted(TESTERS)),
+    "--family": dict(default=GridConfig.family[0], choices=FAMILIES),
     "--out": dict(default="-"),
 }
+
+# `run`'s grid flags, named as the config keys; `run` defaults them to None (unset)
+_GRID_KEYS = (*_AXIS_KEYS, *_SCALAR_KEYS)
 
 
 def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -80,21 +85,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    given = {key: getattr(args, key) for key in _GRID_KEYS if getattr(args, key) is not None}
     if args.config:
+        if given:
+            flags = ", ".join(f"--{key}" for key in given)
+            raise ValueError(f"run takes grid flags or --config, not both; got {flags}")
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config_text(fh.read())
     else:
-        config = GridConfig(
-            n=(args.n,),
-            k=(args.k,),
-            c=(args.c,),
-            tester=(args.tester,),
-            family=(args.family,),
-            h=args.h,
-            delta=args.delta,
-            trials=args.trials,
-            seed=args.seed,
-        )
+        config = GridConfig(**{k: (v,) if k in _AXIS_KEYS else v for k, v in given.items()})
     out = _open_out(args.out)
     try:
         result = run_grid(config, out)
@@ -112,8 +111,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_adjudicate(args) -> int:
-    rows = read_trial_rows(args.inp)
-    reports = adjudicate(rows)
+    with open(args.inp, newline="", encoding="utf-8") as fh:
+        reports = adjudicate(csv.DictReader(fh))
     out = _open_out(args.out)
     try:
         out.write(
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment grid, emitting CSV", allow_abbrev=False)
     _add_flags(p, *_FLAGS)
     p.add_argument("--config", default=None, help="grid config file (key = v1, v2 lines)")
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_cmd_run, **dict.fromkeys(_GRID_KEYS))
 
     p = sub.add_parser(
         "adjudicate", help="error rates + Wilson intervals from a trials CSV", allow_abbrev=False

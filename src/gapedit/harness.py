@@ -260,8 +260,6 @@ def _t_main(xv, yv, alpha, beta, cfg, rs):
 
 
 def _t_baseline(xv, yv, alpha, beta, cfg, rs):
-    if cfg.h is None:
-        raise ParameterError("tester 'baseline' needs an explicit h")
     return baseline_gap(GapInstance(xv, yv, alpha, beta), cfg, rs)
 
 
@@ -307,7 +305,6 @@ class GridConfig:
     delta: float = 0.1
     trials: int = 10
     seed: int = 1
-    alphabet: int = 1 << 32
 
     def __post_init__(self):
         if self.trials < 1:
@@ -329,7 +326,7 @@ def _h_value(v: str) -> Optional[int]:
 
 
 _AXIS_KEYS = {"n": int, "k": int, "c": float, "tester": str, "family": str}
-_SCALAR_KEYS = {"h": _h_value, "delta": float, "trials": int, "seed": int, "alphabet": int}
+_SCALAR_KEYS = {"h": _h_value, "delta": float, "trials": int, "seed": int}
 
 
 def parse_config_text(text: str) -> GridConfig:
@@ -421,7 +418,6 @@ def run_grid(config: GridConfig, out) -> GridResult:
                     family=family,
                     n=n,
                     k=k,
-                    alphabet_size=max(config.alphabet, n if family == "rotation" else 2),
                     side="yes" if t % 2 == 0 else "no",
                     c=c,
                 )
@@ -524,6 +520,7 @@ class CellReport:
 def adjudicate(rows: Iterable[dict]) -> list[CellReport]:
     """Per-cell error rates with Wilson 95% intervals from trial rows.
 
+    The rows may be a grid CSV as `csv.DictReader` reads it: summary rows,
     GAP-truth and unsupported trials are excluded from the error statistics.
     """
     cells: dict[tuple, list[dict]] = {}
@@ -549,20 +546,6 @@ def adjudicate(rows: Iterable[dict]) -> list[CellReport]:
             )
         )
     return reports
-
-
-def read_trial_rows(path: str) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            if row.get("record") != "trial":
-                continue
-            for key in ("n", "k", "trial", "queries_total"):
-                if row.get(key):
-                    row[key] = int(row[key])
-            rows.append(row)
-        return rows
 
 
 def grid_csv_text(config: GridConfig) -> tuple[str, GridResult]:

@@ -154,12 +154,19 @@ class MeteredString:
     def read(self, i: int) -> int:
         return self.read_many([i])[0]
 
-    def read_many(self, positions: Sequence[int]) -> list[int]:
+    def read_many(
+        self, positions: Sequence[int], start: int = 0, length: Optional[int] = None
+    ) -> list[int]:
+        """Read `positions` of the window [start, start + length) (default: the
+        whole string), which lies inside the string as a View's does."""
         data = self._data
-        n = len(data)
-        if positions and (min(positions) < 0 or max(positions) >= n):
-            p = next(p for p in positions if not 0 <= p < n)
-            raise IndexError(f"read at {p} out of bounds [0, {n})")
+        if length is None:
+            length = len(data)
+        if positions and (min(positions) < 0 or max(positions) >= length):
+            p = next(p for p in positions if not 0 <= p < length)
+            raise IndexError(f"read at {p} out of bounds [0, {length})")
+        if start:
+            positions = [start + p for p in positions]
         self.count += len(positions)
         if self._log is not None:
             self._log.extend(positions)

@@ -71,13 +71,7 @@ class View:
         return View(self.source, self.start + start, length)
 
     def read_many(self, positions: Sequence[int]) -> list[int]:
-        length = self.length
-        if positions and (min(positions) < 0 or max(positions) >= length):
-            p = next(p for p in positions if not 0 <= p < length)
-            raise IndexError(f"view read at {p}, length {length}")
-        if self.start:
-            positions = [self.start + p for p in positions]
-        return self.source.read_many(positions)
+        return self.source.read_many(positions, self.start, self.length)
 
     def fetch(self, start: int = 0, length: int | None = None) -> list[int]:
         """Materialize a sub-range as a list, charged to the source."""

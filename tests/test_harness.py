@@ -362,6 +362,7 @@ def test_grid_config_rejects_unknown_names(axis, words):
         ("leaf = exact", 1, "unknown key 'leaf'"),
         ("n = 1024\nn = 2048", 2, "'n' is set twice"),
         ("trials = ten", 1, "invalid literal"),
+        ("alphabet = 4", 1, "unknown key 'alphabet'"),
     ],
 )
 def test_parse_config_rejects_bad_lines(text, line, words):
@@ -401,6 +402,39 @@ def test_cli_run_config_file(tmp_path):
     out = tmp_path / "o.csv"
     assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
     assert out.read_text().startswith(",".join(CSV_COLUMNS[:3]))
+
+
+def test_cli_run_refuses_grid_flags_beside_config(tmp_path, capsys):
+    cfgfile = tmp_path / "grid.cfg"
+    cfgfile.write_text("n = 256\ntrials = 2\ntester = banded\n")
+    out = tmp_path / "o.csv"
+    argv = ["run", "--config", str(cfgfile), "--trials", "5", "--n", "512", "--out", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n" in err and "--trials" in err
+    assert not out.exists()
+
+
+def test_cli_adjudicate_matches_summary_rows(tmp_path, capsys):
+    cfgfile = tmp_path / "grid.cfg"
+    cfgfile.write_text("n = 512, 1024\nk = 4\nc = 3\ntester = banded, main\ntrials = 4\nseed = 3\n")
+    grid = tmp_path / "grid.csv"
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(grid)]) == 0
+    summaries = {
+        (r["tester"], r["n"]): r
+        for r in csv.DictReader(io.StringIO(grid.read_text()))
+        if r["record"] == "summary"
+    }
+    capsys.readouterr()
+    assert cli_main(["adjudicate", "--in", str(grid)]) == 0
+    report = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(r["tester"], r["n"]) for r in report] == [
+        ("banded", "1024"), ("banded", "512"), ("main", "1024"), ("main", "512"),
+    ]
+    for line in report:
+        summary = summaries[line["tester"], line["n"]]
+        for col in ("yes_error", "no_error"):
+            assert line[col] == f"{float(summary[col] or 0):.6f}"
 
 
 def test_cli_gen(tmp_path):
@@ -475,6 +509,23 @@ def test_readme_certify_example_passes(capsys):
     (example,) = [ln for ln in lines if ln.startswith("gapedit certify-nonadaptive ")]
     assert cli_main(shlex.split(example)[1:]) == 0
     assert capsys.readouterr().out.startswith("PASS tester=main ")
+
+
+def test_readme_commands_parse():
+    """Every `gapedit ...` line of the README's code blocks parses."""
+    in_block, commands = False, []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("gapedit "):
+            commands.append(line)
+    assert len(commands) >= 7
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_run_flag_and_config_defaults_agree(tmp_path):
