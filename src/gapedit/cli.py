@@ -15,6 +15,8 @@ from typing import Optional
 from .harness import (
     _AXIS_KEYS,
     _SCALAR_KEYS,
+    ADJUDICATED_COLUMNS,
+    CELL_KEY,
     FAMILIES,
     TESTERS,
     GridConfig,
@@ -64,7 +66,7 @@ def _cmd_gen(args) -> int:
         family=args.family,
         n=args.n,
         k=args.k,
-        alphabet_size=max(args.alphabet, args.n if args.family == "rotation" else 2),
+        alphabet_size=args.alphabet,
         side=args.side,
         c=args.c,
     )
@@ -77,7 +79,7 @@ def _cmd_gen(args) -> int:
     with open(f"{prefix}.meta", "w", encoding="utf-8") as fh:
         fh.write(
             f"family = {args.family}\nn = {args.n}\nk = {args.k}\nc = {args.c}\n"
-            f"side = {args.side}\nseed = {args.seed}\n"
+            f"alphabet = {args.alphabet}\nside = {args.side}\nseed = {args.seed}\n"
             f"ed_lo = {cert.lo}\ned_hi = {cert.hi}\n"
         )
     print(f"wrote {prefix}.x {prefix}.y {prefix}.meta  (certified ED in [{cert.lo}, {cert.hi}])")
@@ -112,12 +114,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_adjudicate(args) -> int:
     with open(args.inp, newline="", encoding="utf-8") as fh:
-        reports = adjudicate(csv.DictReader(fh))
+        rows = csv.DictReader(fh)
+        missing = [col for col in ADJUDICATED_COLUMNS if col not in (rows.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.inp} is not a grid CSV: missing columns {', '.join(missing)}")
+        reports = adjudicate(rows)
     out = _open_out(args.out)
     try:
         out.write(
-            "tester,family,n,k,c,h,delta,"
-            "yes_trials,yes_error,yes_lo,yes_hi,no_trials,no_error,no_lo,no_hi\n"
+            ",".join(CELL_KEY)
+            + ",yes_trials,yes_error,yes_lo,yes_hi,no_trials,no_error,no_lo,no_hi\n"
         )
         for r in reports:
             key = ",".join(str(v) for v in r.key)

@@ -517,21 +517,27 @@ class CellReport:
     no_interval: tuple[float, float]
 
 
+# The columns a cell is keyed by in `adjudicate`'s report, and every column it reads
+CELL_KEY = ("tester", "family", "n", "k", "c", "h", "delta")
+ADJUDICATED_COLUMNS = ("record", "status", "verdict", "truth", *CELL_KEY)
+
+
 def adjudicate(rows: Iterable[dict]) -> list[CellReport]:
     """Per-cell error rates with Wilson 95% intervals from trial rows.
 
     The rows may be a grid CSV as `csv.DictReader` reads it: summary rows,
     GAP-truth and unsupported trials are excluded from the error statistics.
+    Each row holds every ADJUDICATED_COLUMNS entry. Cells are reported in
+    the order the rows first list them, which is `run_grid`'s grid order.
     """
     cells: dict[tuple, list[dict]] = {}
     for row in rows:
-        if row.get("record", "trial") != "trial" or row.get("status") != "ok":
+        if row["record"] != "trial" or row["status"] != "ok":
             continue
-        key = tuple(row[k] for k in ("tester", "family", "n", "k", "c", "h", "delta"))
-        cells.setdefault(key, []).append(row)
+        cells.setdefault(tuple(row[k] for k in CELL_KEY), []).append(row)
     reports = []
-    for key in sorted(cells, key=str):
-        yt, yw, nt, nw = _error_counts(cells[key])
+    for key, cell_rows in cells.items():
+        yt, yw, nt, nw = _error_counts(cell_rows)
         reports.append(
             CellReport(
                 key=key,

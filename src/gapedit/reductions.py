@@ -8,19 +8,23 @@ The one-pair block reductions (single-level, multi-level) fetch each planned
 block pair, x block first, and hand it to a pair oracle:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
-- shifted oracle: fn(xv, yv, alpha, beta, gamma, rs) -> bool
+- shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
 
 The two reductions of the mutual recursion work on a `Batch` (q instances
-sharing one first string) and return one outcome per member:
+sharing one first string) and return one outcome per member. Each spreads
+its error over the calls it plans, by a union bound, and hands every call
+its share as `delta`; the caller budgets nothing:
 
-- gap_to_shifted's oracle: fn(batch, plan, phi, beta, psi, rs) ->
-  list[list[bool]], one call per pass. The plan is the list of sampled
-  (start, length) blocks, level-major; each block stands for that window of
-  the common string and of every member. The answer holds one row per block,
-  in plan order, with one bool per member.
-- shifted_to_gap's oracle: fn(sub, alpha, 3*gamma, rs) -> list[bool], one
-  call per x offset, where sub holds every (member, y offset) window,
-  member-major.
+- gap_to_shifted's oracle: fn(batch, plan, phi, beta, psi, delta, rs) ->
+  list[list[bool]], one call per pass, at delta = 1/(2 * planned blocks).
+  The plan is the list of sampled (start, length) blocks, level-major; each
+  block stands for that window of the common string and of every member.
+  The answer holds one row per block, in plan order, with one bool per
+  member.
+- shifted_to_gap's oracle: fn(sub, alpha, 3*gamma, delta, rs) -> list[bool],
+  one call per x offset, where sub holds every (member, y offset) window,
+  member-major. delta is the caller's, split over the grid:
+  delta/(2 * grid calls).
 
 `per_member` lifts a pair oracle to the batch protocol of shifted_to_gap,
 and `per_block` lifts such a batch oracle to gap_to_shifted's plan protocol,
@@ -145,12 +149,13 @@ def exact_gap_oracle(
 
 
 def exact_shifted_oracle(
-    xv: View, yv: View, alpha: int, beta: int, gamma: int, rs: RandomStream
+    xv: View, yv: View, alpha: int, beta: int, gamma: int, delta: float, rs: RandomStream
 ) -> bool:
     """Adjudicating shifted oracle: YES iff the beta-shifted distance is <= gamma.
 
     Decides by one banded pass per shift at threshold gamma, which is exact
     for the <= gamma question and far cheaper than evaluating the distance.
+    Being exact, it leaves its error budget delta unused.
     """
     _tally()
     bx = xv.fetch()
@@ -366,9 +371,10 @@ def gap_to_shifted(
     Requires phi >= beta >= psi where psi = floor(112*beta*phi*ceil(log2 n)/alpha).
     Samples levels ceil(log2(3*phi)) .. floor(log2(rho*n)) at rate
     rho = 84*phi/alpha, drawing every block before the first oracle call; the
-    blocks are shared by the batch and go to the oracle in one call, and a
-    member is YES iff at most 5 of its blocks answered NO. With a correct
-    oracle both error directions are at most 1/e.
+    blocks are shared by the batch and go to the oracle in one call, at error
+    1/(2 * planned blocks) per block, and a member is YES iff at most 5 of
+    its blocks answered NO. With a correct oracle both error directions are
+    at most 1/e.
     """
     n = len(batch.x)
     if phi < 1 or phi < beta or beta < 0:
@@ -382,17 +388,12 @@ def gap_to_shifted(
         )
     plan = _draw_blocks(n, gap_to_shifted_levels(n, alpha, phi), rs)
     no_counts = [0] * batch.q
-    rows = oracle(batch, plan, phi, beta, psi, rs)
+    rows = oracle(batch, plan, phi, beta, psi, 1.0 / (2 * max(1, len(plan))), rs)
     assert len(rows) == len(plan), "the oracle answers one row per planned block"
     for row in rows:
         for j, yes in enumerate(row):
             no_counts[j] += not yes
     return [ReductionOutcome(c <= 5, c, len(plan)) for c in no_counts]
-
-
-def gap_to_shifted_call_count(n: int, alpha: int, phi: int) -> int:
-    """Planned call count of gap_to_shifted, for error budgeting."""
-    return sum(iters for _, iters in gap_to_shifted_levels(n, alpha, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +427,17 @@ def shifted_to_gap(
     gamma: int,
     spread: int,
     oracle: BatchOracle,
+    delta: float,
     rs: RandomStream,
 ) -> list[ReductionOutcome]:
     """Deterministic reduction from shifted-gap instances to gap oracle calls.
 
     Requires alpha >= 3*gamma and 1+gamma <= spread <= 1+beta. Enumerates
     shift_grid(beta, gamma, spread) and calls the gap oracle with thresholds
-    (alpha, 3*gamma) on length n-beta windows, one call per x offset; a
-    member is YES iff any of its windows answers YES. Exact given a correct
-    oracle. When n <= beta every member is decided by exact_shifted_oracle.
+    (alpha, 3*gamma) on length n-beta windows, one call per x offset, at
+    error delta/(2 * grid calls) per window; a member is YES iff any of its
+    windows answers YES. Exact given a correct oracle. When n <= beta every
+    member is decided by exact_shifted_oracle.
     """
     n = len(batch.x)
     if alpha < 3 * gamma:
@@ -444,7 +447,7 @@ def shifted_to_gap(
     if not 1 + gamma <= spread <= 1 + beta:
         raise ParameterError(f"need 1+gamma <= spread <= 1+beta, got spread={spread}")
     if n <= beta:  # degenerate: read everything and decide exactly
-        yes = [exact_shifted_oracle(batch.x, y, alpha, beta, gamma, rs) for y in batch.ys]
+        yes = [exact_shifted_oracle(batch.x, y, alpha, beta, gamma, delta, rs) for y in batch.ys]
         return [ReductionOutcome(v, int(not v), 1) for v in yes]
     xs, ys = shift_grid(beta, gamma, spread)
     n_calls = len(xs) * len(ys)
@@ -453,13 +456,14 @@ def shifted_to_gap(
         spread, 1 + gamma
     ), "distinct-substring bound violated"
     n_prime = n - beta
+    delta_call = delta / (2 * n_calls)
     yes_counts = [0] * batch.q
     for x_off in xs:
         windows = Batch(
             batch.x.sub(x_off, n_prime),
             tuple(y.sub(y_off, n_prime) for y in batch.ys for y_off in ys),
         )
-        answers = oracle(windows, alpha, 3 * gamma, rs)
+        answers = oracle(windows, alpha, 3 * gamma, delta_call, rs)
         for j in range(batch.q):
             yes_counts[j] += sum(answers[j * len(ys) : (j + 1) * len(ys)])
     return [ReductionOutcome(c > 0, n_calls - c, n_calls) for c in yes_counts]

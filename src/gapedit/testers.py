@@ -21,15 +21,16 @@ baseline and both dispatchers call it at their depth: the gap dispatch
 walks h = 0, 1, 2, ... and the shifted dispatch h = 0, 1, 2.
 
 Every tier of the mutual recursion runs the two batch reductions of
-``reductions`` through one path per direction. ``_batched_gap_via_shifted``
-is the one gap->shifted pass (leaf error 1/(2 * planned calls)), which h1,
-h2, the baseline and main's recursion tier amplify with ``_majority_votes``
-(h1 hands the whole plan of a pass to ``batched_shifted_h0``; the others
-decide block by block through ``per_block``);
-``_batched_shifted_via_gap`` is the one shifted->gap pass (per-call error
-delta/(2 * grid calls)), which the h=1 and h=2 shifted paths, the baseline
-and main's reduce tier call with their own grid spread. The one-instance
-testers join a batch through ``_each``, member by member.
+``reductions``, which hand each oracle call its share of the error budget
+as ``delta``. A batch gap tester ``(batch, alpha, beta, delta, rs)`` is
+``shifted_to_gap``'s oracle as written, so the h=1 and h=2 shifted paths,
+the baseline and main's reduce tier call ``shifted_to_gap`` directly with
+their own grid spread. ``_batched_gap_via_shifted`` is the one
+gap->shifted pass, which h1, h2, the baseline and main's recursion tier
+amplify with ``_majority_votes`` (h1 hands the whole plan of a pass to
+``batched_shifted_h0``; the others decide block by block through
+``per_block``). The one-instance testers join a batch through ``_each``,
+member by member.
 
 Testers never short-circuit across planned oracle calls or repetitions, so
 their read sequences depend only on (n, parameters, seed).
@@ -41,18 +42,18 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from math import exp, isqrt, log
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intmath import ceil_div, ceil_log2, iroot, isqrt_ceil
 from .metering import RandomStream
 from .reductions import (
     Batch,
     ParameterError,
+    PlanOracle,
     _tally,
     exact_gap_oracle,
     exact_shifted_oracle,
     gap_to_shifted,
-    gap_to_shifted_call_count,
     multilevel_levels,
     multilevel_reduce,
     per_block,
@@ -218,7 +219,9 @@ def batched_shifted_h0(
                 sampled = []
             for s in starts:
                 sub = batch.sub(s, length)
-                rows.append([exact_shifted_oracle(sub.x, y, alpha, beta, 0, rs) for y in sub.ys])
+                rows.append(
+                    [exact_shifted_oracle(sub.x, y, alpha, beta, 0, delta, rs) for y in sub.ys]
+                )
             continue
         _tally(calls * len(starts))
         n_prime = length - beta
@@ -276,33 +279,20 @@ def baseline_max_beta(n: int, alpha: int, h: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# (batch, plan, alpha, beta, gamma, delta, rs) -> one row of member verdicts per planned block
-ShiftedPlanFn = Callable[
-    [Batch, list[tuple[int, int]], int, int, int, float, RandomStream], list[list[bool]]
-]
-GapBatchFn = Callable[[Batch, int, int, float, RandomStream], list[bool]]
-
-
 def _batched_gap_via_shifted(
     batch: Batch,
     alpha: int,
     beta: int,
     phi: int,
-    shifted_fn: ShiftedPlanFn,
+    shifted_fn: PlanOracle,
     rs: RandomStream,
 ) -> list[bool]:
     """One unamplified pass of the gap->shifted reduction over a whole batch.
 
-    The pass's whole plan of sampled blocks goes to shifted_fn in one call,
-    at error 1/(2 * planned calls) per block; the block choices are shared
-    across the batch, so sub-calls stay batched.
+    The pass's whole plan of sampled blocks goes to shifted_fn in one call;
+    the block choices are shared across the batch, so sub-calls stay batched.
     """
-    delta_leaf = 1.0 / (2 * max(1, gap_to_shifted_call_count(len(batch.x), alpha, phi)))
-
-    def oracle(sub, plan, a, b, g, stream):
-        return shifted_fn(sub, plan, a, b, g, delta_leaf, stream)
-
-    return [out.yes for out in gap_to_shifted(batch, alpha, beta, phi, oracle, rs)]
+    return [out.yes for out in gap_to_shifted(batch, alpha, beta, phi, shifted_fn, rs)]
 
 
 def _majority_votes(
@@ -310,7 +300,7 @@ def _majority_votes(
     alpha: int,
     beta: int,
     phi: int,
-    shifted_fn: ShiftedPlanFn,
+    shifted_fn: PlanOracle,
     delta: float,
     rs: RandomStream,
 ) -> list[bool]:
@@ -321,27 +311,6 @@ def _majority_votes(
         for j, yes in enumerate(_batched_gap_via_shifted(batch, alpha, beta, phi, shifted_fn, rs)):
             yes_votes[j] += yes
     return [2 * v > reps for v in yes_votes]
-
-
-def _batched_shifted_via_gap(
-    batch: Batch,
-    alpha: int,
-    beta: int,
-    gamma: int,
-    spread: int,
-    gap_fn: GapBatchFn,
-    delta: float,
-    rs: RandomStream,
-) -> list[bool]:
-    """The offset-grid reduction over a whole batch; every grid call goes to
-    gap_fn at error delta/(2 * grid calls)."""
-    xs, ys = shift_grid(beta, gamma, spread)
-    delta_call = delta / (2 * len(xs) * len(ys))
-
-    def oracle(sub, a, b, stream):
-        return gap_fn(sub, a, b, delta_call, stream)
-
-    return [out.yes for out in shifted_to_gap(batch, alpha, beta, gamma, spread, oracle, rs)]
 
 
 def _each(tester, make_instance, cfg: TesterConfig):
@@ -417,7 +386,8 @@ def batched_shifted_h1(
         )
     gbar, xi = h1_shifted_params(n, alpha, beta, gamma, batch.q)
     assert baseline_gap_gate(n, alpha, 3 * gbar, 1), "raised gamma keeps the h=1 gap gate valid"
-    return _batched_shifted_via_gap(batch, alpha, beta, gbar, 1 + xi, batched_gap_h1, delta, rs)
+    outs = shifted_to_gap(batch, alpha, beta, gbar, 1 + xi, batched_gap_h1, delta, rs)
+    return [out.yes for out in outs]
 
 
 def h2_phi(n: int, alpha: int, beta: int) -> int:
@@ -484,9 +454,10 @@ def baseline_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream)
         )
     spread = shift_grid_spread(inst.beta, gamma)
     gap_fn = _each(baseline_gap, GapInstance, cfg)
-    return _batched_shifted_via_gap(
+    [out] = shifted_to_gap(
         single(inst.x, inst.y), alpha, inst.beta, gamma, spread, gap_fn, cfg.delta, rs
-    )[0]
+    )
+    return out.yes
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +555,10 @@ def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> 
     assert tier[0] == "reduce"
     gap_fn = _each(main_gap, GapInstance, replace(cfg, h=None))
     spread = shift_grid_spread(beta, gamma)
-    return _batched_shifted_via_gap(
+    [out] = shifted_to_gap(
         single(inst.x, inst.y), alpha, beta, gamma, spread, gap_fn, cfg.delta, rs
-    )[0]
+    )
+    return out.yes
 
 
 def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
@@ -595,6 +567,7 @@ def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> b
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
     assert baseline_gap_gate(n, alpha, 3 * gamma, 2), "s3 gate implies the h=2 gap gate for 3*gamma"
     xi = max(gamma, min(beta, isqrt(gamma * gamma * beta)))
-    return _batched_shifted_via_gap(
+    [out] = shifted_to_gap(
         single(inst.x, inst.y), alpha, beta, gamma, 1 + xi, batched_gap_h2, cfg.delta, rs
-    )[0]
+    )
+    return out.yes

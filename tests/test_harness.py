@@ -429,7 +429,7 @@ def test_cli_adjudicate_matches_summary_rows(tmp_path, capsys):
     assert cli_main(["adjudicate", "--in", str(grid)]) == 0
     report = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [(r["tester"], r["n"]) for r in report] == [
-        ("banded", "1024"), ("banded", "512"), ("main", "1024"), ("main", "512"),
+        ("banded", "512"), ("banded", "1024"), ("main", "512"), ("main", "1024"),
     ]
     for line in report:
         summary = summaries[line["tester"], line["n"]]
@@ -449,6 +449,44 @@ def test_cli_gen(tmp_path):
     assert ed_exact(x, y) == 4
     meta = (tmp_path / "inst.meta").read_text()
     assert "ed_lo = 4" in meta and "ed_hi = 4" in meta
+    assert f"alphabet = {1 << 32}" in meta
+
+
+@pytest.mark.parametrize(
+    "family, alphabet, words",
+    [
+        pytest.param("random-edits", "1", "alphabet >= 2", id="one-symbol"),
+        pytest.param("rotation", "4", "rotation needs alphabet_size >= n", id="rotation-below-n"),
+    ],
+)
+def test_cli_gen_refuses_an_alphabet_too_small_for_the_family(
+    tmp_path, capsys, family, alphabet, words
+):
+    prefix = tmp_path / "inst"
+    argv = ["gen", "--family", family, "--n", "16", "--k", "2", "--alphabet", alphabet]
+    assert cli_main([*argv, "--out", str(prefix)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        pytest.param("a,b\n", "record, status, verdict, truth, tester", id="foreign-header"),
+        pytest.param("record,status,tester\ntrial,ok,banded\n", "verdict, truth, family",
+                     id="partial-header"),
+        pytest.param("", "record, status, verdict, truth, tester", id="empty-file"),
+    ],
+)
+def test_cli_adjudicate_refuses_a_file_that_is_not_a_grid_csv(tmp_path, capsys, text, missing):
+    grid, report = tmp_path / "grid.csv", tmp_path / "report.csv"
+    grid.write_text(text)
+    assert cli_main(["adjudicate", "--in", str(grid), "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {grid} is not a grid CSV: missing columns ")
+    assert missing in err
+    assert not report.exists()
 
 
 def test_cli_certify_nonadaptive():

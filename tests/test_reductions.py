@@ -14,7 +14,7 @@ from gapedit.reductions import (
     exact_gap_oracle,
     exact_shifted_oracle,
     gap_to_shifted,
-    gap_to_shifted_call_count,
+    gap_to_shifted_levels,
     key_lemma_check,
     level_plan,
     multilevel_reduce,
@@ -45,6 +45,12 @@ def disjoint_pair(seed, n, alphabet=1 << 20):
 def fetched(oracle):
     """A pair oracle on two Views: fetch both, x first, as the reductions do."""
     return lambda xv, yv, *args: oracle(xv.fetch(), yv.fetch(), *args)
+
+
+def fetched_at(oracle):
+    """fetched(oracle) in shifted_to_gap's pair protocol, which adds an error
+    budget delta before rs; the exact oracle leaves it unused."""
+    return lambda xv, yv, alpha, beta, delta, rs: oracle(xv.fetch(), yv.fetch(), alpha, beta, rs)
 
 
 def test_single_level_plan_arithmetic():
@@ -340,13 +346,33 @@ def test_gap_to_shifted_error_rates():
     assert false_no / trials <= 1 / 2.718281828 + 0.08
 
 
-def test_gap_to_shifted_call_count_matches():
+def test_each_reduction_hands_its_oracle_its_error_budget():
+    # gap_to_shifted spreads 1/2 over its planned blocks, shifted_to_gap the
+    # caller's delta over its grid; each hands the share to its oracle
     n, alpha, phi = 4096, 2048, 1
-    [out] = gap_to_shifted(
-        single(as_view([0] * n), as_view([0] * n)), alpha, 1, phi,
-        per_block(per_member(exact_shifted_oracle)), RandomStream(0),
-    )
-    assert out.call_count == gap_to_shifted_call_count(n, alpha, phi)
+    batch = Batch(as_view([0] * n), (as_view([0] * n), as_view([1] * n)))
+    seen = []
+
+    def plan_oracle(sub, plan, a, b, g, delta, stream):
+        seen.append((len(plan), delta))
+        return [[True] * sub.q for _ in plan]
+
+    outs = gap_to_shifted(batch, alpha, 1, phi, plan_oracle, RandomStream(0))
+    [(planned, delta)] = seen
+    assert planned == sum(iters for _, iters in gap_to_shifted_levels(n, alpha, phi)) > 0
+    assert delta == 1 / (2 * planned)
+    assert [out.call_count for out in outs] == [planned] * batch.q
+
+    beta, gamma, spread, delta = 4, 1, 3, 0.05
+    xs, ys = shift_grid(beta, gamma, spread)
+    seen.clear()
+
+    def batch_oracle(sub, a, b, d, stream):
+        seen.append((sub.q, d))
+        return [True] * sub.q
+
+    shifted_to_gap(batch, 16, beta, gamma, spread, batch_oracle, delta, RandomStream(0))
+    assert seen == [(batch.q * len(ys), delta / (2 * len(xs) * len(ys)))] * len(xs)
 
 
 def test_per_block_keeps_one_pair_call_per_window():
@@ -364,7 +390,7 @@ def test_per_block_keeps_one_pair_call_per_window():
     ys = (as_view(rand_list(31, n, 1 << 16)), as_view(rand_list(32, n, 1 << 16)))
     calls = []
 
-    def pair(xv, yv, a, b, g, stream):
+    def pair(xv, yv, a, b, g, d, stream):
         calls.append((xv.source, xv.start, len(xv), yv.source, yv.start, len(yv), a, b, g))
         return yv.source is ys[0].source
 
@@ -398,10 +424,10 @@ def test_shift_grid_examples():
 def test_shifted_to_gap_counts_and_bounds():
     x = rand_list(31, 256, 1 << 16)
     xv = as_view(x)
-    oracle = per_member(fetched(exact_gap_oracle))
-    [out] = shifted_to_gap(single(xv, xv), 10, 3, 0, 2, oracle, RandomStream(1))
+    oracle = per_member(fetched_at(exact_gap_oracle))
+    [out] = shifted_to_gap(single(xv, xv), 10, 3, 0, 2, oracle, 0.1, RandomStream(1))
     assert out.yes and out.call_count == 16
-    [out] = shifted_to_gap(single(xv, xv), 9, 3, 3, 4, oracle, RandomStream(1))
+    [out] = shifted_to_gap(single(xv, xv), 9, 3, 3, 4, oracle, 0.1, RandomStream(1))
     assert out.yes and out.call_count <= 4
 
 
@@ -413,7 +439,7 @@ def test_shifted_to_gap_rotation_yes():
     assert shifted_ed_exact(x, y, 4) == 0
     [out] = shifted_to_gap(
         single(as_view(x), as_view(y)), 10, 4, 0, shift_grid_spread(4, 0),
-        per_member(fetched(exact_gap_oracle)), RandomStream(2),
+        per_member(fetched_at(exact_gap_oracle)), 0.1, RandomStream(2),
     )
     assert out.yes
 
@@ -422,7 +448,7 @@ def test_shifted_to_gap_no_side():
     x, y = disjoint_pair(41, 256)
     [out] = shifted_to_gap(
         single(as_view(x), as_view(y)), 16, 4, 1, shift_grid_spread(4, 1),
-        per_member(fetched(exact_gap_oracle)), RandomStream(2),
+        per_member(fetched_at(exact_gap_oracle)), 0.1, RandomStream(2),
     )
     assert not out.yes
 
@@ -435,13 +461,13 @@ def test_shifted_to_gap_degenerate_short_strings():
     x = as_view([1, 2, 3])
     z = as_view([9, 9, 9])
     assert shifted_ed_exact([1, 2, 3], [9, 9, 9], 4) == 0
-    oracle, spread = per_member(fetched(exact_gap_oracle)), shift_grid_spread(4, 0)
-    [out] = shifted_to_gap(single(x, z), 12, 4, 0, spread, oracle, RandomStream(1))
+    oracle, spread = per_member(fetched_at(exact_gap_oracle)), shift_grid_spread(4, 0)
+    [out] = shifted_to_gap(single(x, z), 12, 4, 0, spread, oracle, 0.1, RandomStream(1))
     assert out.yes
     # one symbol over budget: the grid runs and the disjoint content fails it
     x5 = as_view([1, 2, 3, 4, 5])
     z5 = as_view([9, 8, 7, 6, 5 + 10])
-    [out] = shifted_to_gap(single(x5, z5), 12, 4, 0, spread, oracle, RandomStream(1))
+    [out] = shifted_to_gap(single(x5, z5), 12, 4, 0, spread, oracle, 0.1, RandomStream(1))
     assert not out.yes
 
 
@@ -449,7 +475,8 @@ def test_shifted_to_gap_rejects_small_alpha():
     x = as_view([0] * 32)
     with pytest.raises(ParameterError):
         shifted_to_gap(
-            single(x, x), 5, 4, 2, 3, per_member(fetched(exact_gap_oracle)), RandomStream(1)
+            single(x, x), 5, 4, 2, 3, per_member(fetched_at(exact_gap_oracle)), 0.1,
+            RandomStream(1),
         )
 
 
@@ -469,7 +496,7 @@ def test_shift_grid_bounds_exhaustive():
     # every beta <= 40, gamma <= beta and spread in [1+gamma, 1+beta]: the grid
     # matches its definition, both bounds asserted by shifted_to_gap hold, and
     # shifted_to_gap makes one call per grid point
-    def count_calls(sub, a, b, rs):
+    def count_calls(sub, a, b, d, rs):
         return [True] * sub.q
 
     for beta in range(41):
@@ -488,12 +515,15 @@ def test_shift_grid_bounds_exhaustive():
                 assert len(xs) * len(ys) * g1 <= 16 * (1 + beta)
                 assert len(xs) + len(ys) <= 2 * -(-(1 + beta) // spread) + 2 * -(-spread // g1)
                 [out] = shifted_to_gap(
-                    single(x, x), 3 * beta, beta, gamma, spread, count_calls, RandomStream(0)
+                    single(x, x), 3 * beta, beta, gamma, spread, count_calls, 0.1,
+                    RandomStream(0),
                 )
                 assert out.call_count == len(xs) * len(ys)
             for bad in (gamma, beta + 2):
                 with pytest.raises(ParameterError):
-                    shifted_to_gap(single(x, x), 3 * beta, beta, gamma, bad, count_calls, None)
+                    shifted_to_gap(
+                        single(x, x), 3 * beta, beta, gamma, bad, count_calls, 0.1, None
+                    )
 
 
 def _mixed_batch(n, shift):
@@ -518,11 +548,11 @@ def test_gap_to_shifted_batch_matches_single_calls():
 
 def test_shifted_to_gap_batch_matches_single_calls():
     batch = _mixed_batch(256, 3)
-    oracle = per_member(fetched(exact_gap_oracle))
+    oracle = per_member(fetched_at(exact_gap_oracle))
     spread = shift_grid_spread(4, 1)
-    got = shifted_to_gap(batch, 16, 4, 1, spread, oracle, RandomStream(2))
+    got = shifted_to_gap(batch, 16, 4, 1, spread, oracle, 0.1, RandomStream(2))
     want = [
-        shifted_to_gap(single(batch.x, y), 16, 4, 1, spread, oracle, RandomStream(2))[0]
+        shifted_to_gap(single(batch.x, y), 16, 4, 1, spread, oracle, 0.1, RandomStream(2))[0]
         for y in batch.ys
     ]
     assert got == want

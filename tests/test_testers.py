@@ -171,12 +171,13 @@ def test_h0_batched_vs_unbatched_pipeline_rates():
     trials = 1000
 
     def pipeline(xv, yv, rs):
-        def leaf(av, bv, a, b, stream):
+        def leaf(av, bv, a, b, d, stream):
             assert b == 0
             return equality_test(av, bv, a, delta / 32, stream)
 
         [out] = shifted_to_gap(
-            single(xv, yv), alpha, beta, 0, shift_grid_spread(beta, 0), per_member(leaf), rs
+            single(xv, yv), alpha, beta, 0, shift_grid_spread(beta, 0), per_member(leaf), delta,
+            rs,
         )
         return out.yes
 
@@ -202,7 +203,7 @@ def _h0_one_window(batch, alpha, beta, delta, rs):
     n = len(batch.x)
     q = batch.q
     if n <= beta:
-        return [exact_shifted_oracle(batch.x, y, alpha, beta, 0, rs) for y in batch.ys]
+        return [exact_shifted_oracle(batch.x, y, alpha, beta, 0, delta, rs) for y in batch.ys]
     xs, ys_off = shift_grid(beta, 0, h0_spread(q, beta))
     _tally(len(xs) * len(ys_off) * q)
     n_prime = n - beta
@@ -225,7 +226,7 @@ def _h0_pass(plan_fn, make_batch, alpha, beta, phi, delta, seed):
     rs = RandomStream(seed)
     seen = []
 
-    def oracle(sub, plan, a, b, g, stream):
+    def oracle(sub, plan, a, b, g, d, stream):
         rows = plan_fn(sub, plan, a, b, delta, stream)
         seen.append((plan, rows))
         return rows
@@ -777,7 +778,7 @@ def test_short_strings_decided_exactly_on_the_grid_paths():
     for n, beta in ((1, 1), (3, 4), (6, 6)):
         sym = rand_sym(40 + n, n)
         x, ys = as_view(sym), (as_view(list(sym)), as_view(rand_sym(50 + n, n)))
-        want = [exact_shifted_oracle(x, y, 10**6, beta, 1, RandomStream(0)) for y in ys]
+        want = [exact_shifted_oracle(x, y, 10**6, beta, 1, 0.1, RandomStream(0)) for y in ys]
         with oracle_call_tally() as tally:
             got = batched_shifted_h1(Batch(x, ys), 10**5, beta, 1, 0.1, RandomStream(1))
         assert got == want and tally[0] == len(ys)
