@@ -10,7 +10,7 @@ so a tester that branches on symbol equality takes different paths on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -176,20 +176,37 @@ class MeteredString:
                 t[p] = 1
         return [data[p] for p in positions]
 
-    def read_range(self, start: int, length: int) -> list[int]:
-        if length < 0 or start < 0 or start + length > len(self._data):
-            raise IndexError(f"read_range({start}, {length}) out of bounds")
-        self.count += length
+    def read_blocks(self, starts: Sequence[int], length: int) -> Iterator[list[int]]:
+        """The blocks [s, s + length) for s in `starts`, in order.
+
+        The call charges every block (count, log and distinct positions)
+        before it returns, and a refused call charges nothing. The blocks are
+        sliced only as the caller iterates.
+        """
+        data = self._data
+        if length < 0 or (starts and (min(starts) < 0 or max(starts) + length > len(data))):
+            raise IndexError(f"read_blocks of length {length} out of bounds [0, {len(data)})")
+        self.count += length * len(starts)
         if self._log is not None:
-            self._log.extend(range(start, start + length))
+            log = self._log
+            for s in starts:
+                log.extend(range(s, s + length))
         if self._touched is not None:
-            self._touched[start : start + length] = b"\x01" * length
-        return self._data[start : start + length]
+            t, ones = self._touched, b"\x01" * length
+            for s in starts:
+                t[s : s + length] = ones
+        # a generator expression, not a generator function, which would
+        # defer the charge above to the caller's first next()
+        return (data[s : s + length] for s in starts)
+
+    def read_range(self, start: int, length: int) -> list[int]:
+        """The block [start, start + length): the one-start case of `read_blocks`."""
+        return next(self.read_blocks((start,), length))
 
     def distinct_count(self) -> int:
         if self._touched is None:
             raise RuntimeError("distinct tracking is not enabled")
-        return sum(self._touched)
+        return self._touched.count(1)
 
 
 Logs = tuple[list[int], list[int]]  # positions read of x, then of y, in order

@@ -4,8 +4,13 @@ All reductions plan their oracle calls up front (level-major, iteration-minor)
 and execute every planned call: there is no short-circuiting, so the access
 pattern is a pure function of (n, parameters, seed).
 
-The one-pair block reductions (single-level, multi-level) fetch each planned
-block pair, x block first, and hand it to a pair oracle:
+The one-pair block reductions (single-level, multi-level) read each run of
+consecutive equal-length planned blocks with one call per string, x first,
+so every planned block is charged in full. An equal block pair is YES with
+no oracle call (ED = 0 <= beta), and each distinct unequal block goes to a
+pair oracle once per reduction call, its answer serving every repeat; the
+reduction tallies the pairs it settles itself, so the oracle-call tally
+still counts planned pairs:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
@@ -36,7 +41,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
@@ -224,11 +231,26 @@ def _run_gap_calls(
     oracle: GapOracle,
     rs: RandomStream,
 ) -> ReductionOutcome:
-    """Fetch each planned (start, length) block pair and make one gap call on it."""
+    """Decide each planned (start, length) block pair, one run of equal-length blocks at a time.
+
+    Each run is read with one call per string, x first. An equal pair is YES
+    with no leaf call (ED = 0 <= beta), and each distinct unequal block goes
+    to the oracle once; the pairs settled here are tallied, so the tally
+    still counts planned pairs.
+    """
     no_count = 0
-    for start, length in plan:
-        if not oracle(xv.fetch(start, length), yv.fetch(start, length), alpha, beta, rs):
-            no_count += 1
+    decided: dict[tuple[int, int], bool] = {}
+    for length, run in groupby(plan, key=itemgetter(1)):
+        starts = [start for start, _ in run]
+        xs, ys = xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length)
+        for start, bx, by in zip(starts, xs, ys):
+            if bx == by:
+                continue
+            yes = decided.get((start, length))
+            if yes is None:
+                yes = decided[start, length] = oracle(bx, by, alpha, beta, rs)
+            no_count += not yes
+    _tally(len(plan) - len(decided))
     return ReductionOutcome(no_count == 0, no_count, len(plan))
 
 
@@ -236,14 +258,15 @@ def _draw_blocks(n: int, levels: list[tuple[int, int]], rs: RandomStream) -> lis
     """Uniform (start, length) block choices, level-major, iteration-minor.
 
     One vectorized draw per level. Level p tiles [0..n) with blocks of length
-    2^p, and only the last one may be shorter.
+    2^p, and only the tiles from n >> p on are shorter.
     """
-    plan = []
+    plan: list[tuple[int, int]] = []
     for p, iters in levels:
-        size = 1 << p
-        for i in rs.uniform_indices(ceil_div(n, size), iters):
-            start = i << p
-            plan.append((start, min(size, n - start)))
+        size, full = 1 << p, n >> p
+        plan += [
+            (i << p, size if i < full else n - (i << p))
+            for i in rs.uniform_indices(ceil_div(n, size), iters)
+        ]
     return plan
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 YES = "YES"
 NO = "NO"
@@ -80,6 +80,14 @@ class View:
         if start < 0 or length < 0 or start + length > self.length:
             raise ValueError("fetch out of bounds")
         return self.source.read_range(self.start + start, length)
+
+    def fetch_blocks(self, starts: Sequence[int], length: int) -> Iterator[list[int]]:
+        """The sub-ranges [s, s + length) for s in `starts`, charged to the
+        source when called and handed out in order as the caller iterates."""
+        if length < 0 or (starts and (min(starts) < 0 or max(starts) + length > self.length)):
+            raise ValueError("fetch out of bounds")
+        offset = self.start
+        return self.source.read_blocks([offset + s for s in starts] if offset else starts, length)
 
 
 def as_view(s) -> View:

@@ -66,6 +66,40 @@ def test_view_reads_charge_meter():
     assert ms.count == 4
 
 
+def test_block_reads_charge_as_one_read_per_block():
+    # fetch_blocks/read_blocks against the same fetch/read_range calls one
+    # block at a time: a view with an offset and without, a short last block,
+    # empty starts, a repeated block
+    runs = [([8, 0, 8], 8), ([16], 3), ([], 8), ([0], 0), ([16, 16], 3)]
+    for offset in (0, 5):
+        bulk, single = (MeteredString(range(100, 130), log=True, track_distinct=True) for _ in "xy")
+        bulk_view, single_view = View(bulk, offset, 19), View(single, offset, 19)
+        for starts, length in runs:
+            blocks = bulk_view.fetch_blocks(starts, length)
+            expected = [single_view.fetch(s, length) for s in starts]
+            # charged before the first block is taken
+            assert (bulk.count, bulk.log, bulk.distinct_count()) == (
+                single.count, single.log, single.distinct_count()
+            )
+            assert list(blocks) == expected
+            blocks = bulk.read_blocks([offset + s for s in starts], length)
+            expected = [single.read_range(offset + s, length) for s in starts]
+            assert (bulk.count, bulk.log, bulk.distinct_count()) == (
+                single.count, single.log, single.distinct_count()
+            )
+            assert list(blocks) == expected
+        # out of bounds: the view checks its own bounds, the source its own;
+        # a refused call charges nothing
+        charged = (bulk.count, list(bulk.log), bulk.distinct_count())
+        for starts, length in (([0, 12], 8), ([-1], 2), ([0], -1)):
+            with pytest.raises(ValueError, match="fetch out of bounds"):
+                bulk_view.fetch_blocks(starts, length)
+        for starts, length in (([0, 29], 2), ([-1, 3], 1), ([], -1)):
+            with pytest.raises(IndexError, match=r"out of bounds \[0, 30\)"):
+                bulk.read_blocks(starts, length)
+        assert (bulk.count, bulk.log, bulk.distinct_count()) == charged
+
+
 def test_read_many_bounds_name_the_first_bad_position():
     ms = MeteredString(list(range(10)), log=True)
     for positions, bad in (([3, -1, 10], -1), ([0, 10, -2], 10), ([9, 10], 10)):

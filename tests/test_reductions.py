@@ -17,6 +17,7 @@ from gapedit.reductions import (
     gap_to_shifted_levels,
     key_lemma_check,
     level_plan,
+    multilevel_levels,
     multilevel_reduce,
     oracle_call_tally,
     per_block,
@@ -183,8 +184,65 @@ def test_oracle_call_tally():
         xm, ym = MeteredString(x), MeteredString(y)
         short = single_level_reduce(xm.view(), ym.view(), 240, 64, 64, leaf, RandomStream(3))
         assert short.yes and max(lengths) <= 64
-        assert xm.count == ym.count == sum(lengths) > 0
+        plan = single_level_blocks(80, 240, 64, RandomStream(3))
+        assert xm.count == ym.count == sum(length for _, length in plan) > 0
+        # the blocks are disjoint, so each distinct one reaches the leaf, once
+        assert lengths == [length for _, length in dict.fromkeys(plan)]
     assert tally[0] == out.call_count + 4 + short.call_count == 13
+
+
+def multilevel_blocks(n, alpha, phi, rs):
+    """The (start, length) blocks multilevel_reduce plans, in order."""
+    return reductions._draw_blocks(n, multilevel_levels(n, alpha, phi), rs)
+
+
+def single_level_blocks(n, alpha, phi, rs):
+    """The (start, length) blocks single_level_reduce plans, in order."""
+    b, m, iters = single_level_plan(n, alpha, phi)
+    return [(i * b, min(b, n - i * b)) for i in rs.uniform_indices(m, iters)]
+
+
+@pytest.mark.parametrize(
+    "reduce, alpha, blocks",
+    # single level at alpha = 45: b = 267, so the fourth block is 199 long
+    [(multilevel_reduce, 80, multilevel_blocks), (single_level_reduce, 45, single_level_blocks)],
+)
+def test_leaf_sees_each_distinct_unequal_block_once(reduce, alpha, blocks):
+    # x's symbols are distinct, so a block's first symbol and length name it;
+    # y substitutes fresh symbols: a cluster of 10 (NO at beta = 4 in any
+    # block holding 5 of them) and singles, one in the short last blocks
+    n, beta = 1000, 4
+    x = list(range(n))
+    y = list(x)
+    for i in (*range(500, 510), 37, 260, 777, 999):
+        y[i] = n + i
+    repeated = 0
+    for seed in range(4):
+        seen = []
+
+        def leaf(bx, by, *args):
+            seen.append((bx[0], len(bx)))
+            assert bx != by
+            return exact_gap_oracle(bx, by, *args)
+
+        xm, ym = MeteredString(x), MeteredString(y)
+        with oracle_call_tally() as tally:
+            out = reduce(xm.view(), ym.view(), alpha, beta, beta, leaf, RandomStream(seed))
+        assert len(seen) == len(set(seen))
+        assert tally[0] == out.call_count
+
+        plan = blocks(n, alpha, beta, RandomStream(seed))
+        answers = [
+            exact_gap_oracle(x[s : s + l], y[s : s + l], beta, beta, RandomStream(seed))
+            for s, l in plan
+        ]
+        assert (out.yes, out.no_count, out.call_count) == (
+            all(answers), answers.count(False), len(plan)
+        )
+        assert xm.count == ym.count == sum(l for _, l in plan)
+        assert set(seen) == {(s, l) for s, l in plan if x[s : s + l] != y[s : s + l]}
+        repeated += len(plan) - len(set(plan))
+    assert repeated > 0 and 0 < out.no_count < out.call_count
 
 
 def test_oracle_call_tally_scopes():
