@@ -156,7 +156,9 @@ def _plant_substitutions(
     y = list(x)
     chosen: set[int] = set()
     while len(chosen) < count:
-        chosen.add(rs.uniform_index(n))
+        # each draw adds at most one position, so no round draws past where
+        # one draw at a time would stop: same values, same final state
+        chosen.update(rs.uniform_indices(n, count - len(chosen)))
     for idx, pos in enumerate(sorted(chosen)):
         if fresh_base is not None:
             y[pos] = fresh_base + idx

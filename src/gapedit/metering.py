@@ -122,18 +122,37 @@ class RandomStream:
         return (self.u64_block(count) % np.uint64(alphabet)).astype(np.int64).tolist()
 
 
-class MeteredString:
-    """Read-only character source that counts (and optionally logs) every access."""
+def _mirror(data: list[int]) -> np.ndarray:
+    """`data` as an array to gather from: int64, or Python ints (dtype object)
+    when a symbol is beyond int64. The dtype is never inferred, since numpy
+    would make [1, 2**63] a float64 array and lose the value."""
+    try:
+        return np.array(data, dtype=np.int64)
+    except OverflowError:
+        return np.array(data, dtype=object)
 
-    __slots__ = ("_data", "count", "_log", "_touched")
+
+class MeteredString:
+    """Read-only character source that counts (and optionally logs) every access.
+
+    ``read_many`` gathers from a numpy mirror of the symbols, built on its
+    first call (``_mirror``: int64 unless a symbol is beyond int64). Distinct
+    positions are marked in the ``_touched`` bytearray, which ``read_many``
+    writes through one numpy view of it and ``read_blocks`` through slices.
+    """
+
+    __slots__ = ("_data", "count", "_log", "_touched", "_marks", "_array")
 
     def __init__(self, data, *, log: bool = False, track_distinct: bool = False):
         self._data = symbols(data)
         self.count = 0
         self._log: Optional[list[int]] = [] if log else None
-        self._touched: Optional[bytearray] = (
-            bytearray(len(self._data)) if track_distinct else None
-        )
+        self._touched: Optional[bytearray] = None
+        self._marks: Optional[np.ndarray] = None
+        if track_distinct:
+            self._touched = bytearray(len(self._data))
+            self._marks = np.frombuffer(self._touched, dtype=np.uint8)
+        self._array: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -152,29 +171,37 @@ class MeteredString:
         return self._data
 
     def read(self, i: int) -> int:
-        return self.read_many([i])[0]
+        return int(self.read_many([i])[0])
 
     def read_many(
-        self, positions: Sequence[int], start: int = 0, length: Optional[int] = None
-    ) -> list[int]:
-        """Read `positions` of the window [start, start + length) (default: the
-        whole string), which lies inside the string as a View's does."""
-        data = self._data
+        self, positions: Sequence[int] | np.ndarray, start: int = 0, length: Optional[int] = None
+    ) -> np.ndarray:
+        """The symbols at `positions` of the window [start, start + length)
+        (default: the whole string), which lies inside the string as a View's
+        does, gathered as one array in the order given.
+
+        A position outside the window raises IndexError naming the first such
+        position, and a refused call charges nothing.
+        """
+        data = self._array
+        if data is None:
+            data = self._array = _mirror(self._data)
         if length is None:
             length = len(data)
-        if positions and (min(positions) < 0 or max(positions) >= length):
-            p = next(p for p in positions if not 0 <= p < length)
-            raise IndexError(f"read at {p} out of bounds [0, {length})")
+        pos = np.asarray(positions, dtype=np.int64)
+        # through the unsigned view a negative position reads as >= 2^63, so
+        # one comparison checks both bounds
+        outside = pos.view(np.uint64) >= length
+        if np.count_nonzero(outside):
+            raise IndexError(f"read at {pos[outside][0]} out of bounds [0, {length})")
         if start:
-            positions = [start + p for p in positions]
-        self.count += len(positions)
+            pos = pos + start
+        self.count += pos.size
         if self._log is not None:
-            self._log.extend(positions)
-        if self._touched is not None:
-            t = self._touched
-            for p in positions:
-                t[p] = 1
-        return [data[p] for p in positions]
+            self._log.extend(pos.tolist())
+        if self._marks is not None:
+            self._marks[pos] = 1
+        return data[pos]
 
     def read_blocks(self, starts: Sequence[int], length: int) -> Iterator[list[int]]:
         """The blocks [s, s + length) for s in `starts`, in order.

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+
+if TYPE_CHECKING:  # importing this module loads no numpy
+    import numpy as np
 
 YES = "YES"
 NO = "NO"
@@ -70,7 +73,8 @@ class View:
             raise ValueError("sub-view out of bounds")
         return View(self.source, self.start + start, length)
 
-    def read_many(self, positions: Sequence[int]) -> list[int]:
+    def read_many(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The symbols at `positions` of this view, gathered as one array."""
         return self.source.read_many(positions, self.start, self.length)
 
     def fetch(self, start: int = 0, length: int | None = None) -> list[int]:

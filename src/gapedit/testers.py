@@ -4,8 +4,9 @@ The stack, bottom to top:
 
 - ``equality_test``: the zero-gap sampler.
 - ``batched_shifted_h0``: shifted tester with gamma=0 on every planned
-  window of a batch, backed by a shared fingerprint sample per window and a
-  set of the common string's window fingerprints.
+  window of a batch, backed by a shared fingerprint sample per window,
+  read as array gathers and matched against the common string's window
+  fingerprints by exact broadcast equality.
 - ``batched_gap_h1`` / ``batched_shifted_h1`` / ``batched_gap_h2``: the
   specialized shallow recursions; batches share one sample plan.
 - ``baseline_gap`` / ``baseline_shifted``: the plain mutual recursion.
@@ -43,6 +44,8 @@ from itertools import groupby
 from math import exp, isqrt, log
 from operator import itemgetter
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .intmath import ceil_div, ceil_log2, iroot, isqrt_ceil
 from .metering import RandomStream
@@ -127,7 +130,7 @@ def batched_equality(batch: Batch, alpha: int, delta: float, rs: RandomStream) -
     m = min(n, int(-(-(n / (1 + alpha)) * log(1 / dp) // 1)))
     positions = [rs.uniform_index(n) for _ in range(m)]
     got_x = batch.x.read_many(positions)
-    return [y.read_many(positions) == got_x for y in batch.ys]
+    return [not np.count_nonzero(y.read_many(positions) != got_x) for y in batch.ys]
 
 
 def equality_test(xv: View, yv: View, alpha: int, delta: float, rs: RandomStream) -> bool:
@@ -150,32 +153,40 @@ def h0_spread(q: int, beta: int) -> int:
 
 
 def _h0_rows(
-    batch: Batch, sampled: list[tuple[int, list[int]]], xs: list[int], ys_off: list[int]
+    batch: Batch, runs: list[tuple[np.ndarray, np.ndarray]], xs: list[int], ys_off: list[int]
 ) -> list[list[bool]]:
-    """Verdict rows of sampled windows, given as (start, sample) pairs.
+    """Verdict rows of sampled windows, given as runs of (starts, samples):
+    a run's windows start at `starts` and share one sample size, and row w of
+    its 2-D `samples` is window w's sample.
 
     Each string is read with one read_many over every window, window-major,
     then offset, then sample; every read comes before any membership test,
-    so the reads stay non-adaptive.
+    so the reads stay non-adaptive. A window's fingerprints are its
+    (offsets, sample) block of symbols, and a member's window is YES iff one
+    of its fingerprints equals one of the common string's, by exact
+    elementwise equality.
     """
 
-    def fingerprints(view: View, offsets: list[int]) -> list[list[tuple[int, ...]]]:
-        got = view.read_many(
-            [s + off + p for s, sample in sampled for off in offsets for p in sample]
-        )
-        per_window, i = [], 0
-        for _, sample in sampled:
-            m = len(sample)
-            per_window.append([tuple(got[j : j + m]) for j in range(i, i + len(offsets) * m, m)])
-            i += len(offsets) * m
-        return per_window
+    def fingerprints(view: View, offsets: list[int]) -> list[np.ndarray]:
+        offs = np.array(offsets, dtype=np.int64)[:, None]
+        blocks = [starts[:, None, None] + offs + samples[:, None, :] for starts, samples in runs]
+        got = view.read_many(np.concatenate([b.ravel() for b in blocks]))
+        out, i = [], 0
+        for b in blocks:
+            out.append(got[i : i + b.size].reshape(b.shape))
+            i += b.size
+        return out
 
-    commons = [set(fps) for fps in fingerprints(batch.x, xs)]
+    fx = fingerprints(batch.x, xs)
     member_fps = [fingerprints(y, ys_off) for y in batch.ys]
-    return [
-        [any(fp in common for fp in fps[w]) for fps in member_fps]
-        for w, common in enumerate(commons)
-    ]
+    rows: list[list[bool]] = []
+    for r, common in enumerate(fx):
+        hits = [
+            (common[:, :, None, :] == fps[r][:, None, :, :]).all(-1).any((1, 2))
+            for fps in member_fps
+        ]
+        rows += np.array(hits).T.tolist()
+    return rows
 
 
 def batched_shifted_h0(
@@ -191,11 +202,10 @@ def batched_shifted_h0(
     Each (start, length) window of the common string and of every member is
     one instance; the answer holds one row per window, in order, with one
     bool per member. A window builds the offset grid, shares one position
-    sample among its members, collects the common string's window
-    fingerprints in a set, and answers a member YES iff one of its window
-    fingerprints is in it. Each answer errs with probability at most delta;
-    exact window equality always answers YES. A window no longer than beta
-    is decided exactly by exact_shifted_oracle.
+    sample among its members, and answers a member YES iff one of its window
+    fingerprints equals one of the common string's. Each answer errs with
+    probability at most delta; exact window equality always answers YES. A
+    window no longer than beta is decided exactly by exact_shifted_oracle.
 
     Consecutive windows of equal length form a run whose samples come from
     one draw, cut into one chunk per window. The sampled windows between two
@@ -210,7 +220,7 @@ def batched_shifted_h0(
     xs, ys_off = shift_grid(beta, 0, h0_spread(q, beta))
     calls = len(xs) * len(ys_off) * q
     rows: list[list[bool]] = []
-    sampled: list[tuple[int, list[int]]] = []  # drawn, not yet read
+    sampled: list[tuple[np.ndarray, np.ndarray]] = []  # runs drawn, not yet read
     for length, run in groupby(windows, key=itemgetter(1)):
         starts = [start for start, _ in run]
         if length <= beta:
@@ -228,7 +238,9 @@ def batched_shifted_h0(
         m = min(n_prime, int(-(-(n_prime / (1 + alpha)) * log((calls + 1) / delta) // 1)))
         m = max(m, 1)
         draws = rs.uniform_indices(n_prime, m * len(starts))
-        sampled += [(s, draws[w * m : (w + 1) * m]) for w, s in enumerate(starts)]
+        sampled.append(
+            (np.array(starts, dtype=np.int64), np.array(draws, dtype=np.int64).reshape(-1, m))
+        )
     if sampled:
         rows += _h0_rows(batch, sampled, xs, ys_off)
     return rows

@@ -25,6 +25,7 @@ from gapedit.harness import (
     wilson_interval,
     CSV_COLUMNS,
     _generate_raw,
+    _plant_substitutions,
 )
 from gapedit.metering import RandomStream
 from gapedit.strings import ed_exact, ed_lower_bound
@@ -139,6 +140,36 @@ def test_truth_classification():
     assert TruthCert(20, 20).classify(16, 4) == "NO"
     assert TruthCert(8, 8).classify(16, 4) == "GAP"
     assert TruthCert(2, 8).classify(16, 4) is None
+
+
+def _plant_one_draw_at_a_time(x, count, alphabet, rs, fresh_base):
+    """Reference: _plant_substitutions drawing positions with one
+    uniform_index call at a time."""
+    y, chosen = list(x), set()
+    while len(chosen) < count:
+        chosen.add(rs.uniform_index(len(x)))
+    for idx, pos in enumerate(sorted(chosen)):
+        if fresh_base is not None:
+            y[pos] = fresh_base + idx
+        else:
+            while True:
+                sym = rs.uniform_index(max(2, alphabet))
+                if sym != y[pos]:
+                    y[pos] = sym
+                    break
+    return y
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (7, 7), (12, 11), (50, 48), (300, 7), (64, 0)])
+@pytest.mark.parametrize("fresh_base", [None, 1 << 20])
+def test_plant_substitutions_matches_one_draw_at_a_time(n, count, fresh_base):
+    # count near n makes later rounds draw positions already chosen
+    for seed in range(5):
+        x = RandomStream(seed).symbols(n, 4)
+        a, b = RandomStream(seed).child("edits"), RandomStream(seed).child("edits")
+        got = _plant_substitutions(x, count, 4, a, fresh_base)
+        assert got == _plant_one_draw_at_a_time(x, count, 4, b, fresh_base)
+        assert a._state == b._state
 
 
 def test_generation_is_deterministic():

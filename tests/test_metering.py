@@ -61,7 +61,7 @@ def test_counter_additivity():
 def test_view_reads_charge_meter():
     ms = MeteredString(list(range(16)))
     v = View(ms, 4, 8)
-    assert v.read_many([0]) == [4]
+    assert v.read_many([0]).tolist() == [4]
     assert v.fetch(2, 3) == [6, 7, 8]
     assert ms.count == 4
 
@@ -106,7 +106,7 @@ def test_read_many_bounds_name_the_first_bad_position():
         with pytest.raises(IndexError, match=rf"read at {bad} out of bounds \[0, 10\)"):
             ms.read_many(positions)
     assert ms.count == 0 and ms.log == []  # a refused call charges nothing
-    assert ms.read_many([]) == [] and ms.read_many([9, 0, 9]) == [9, 0, 9]
+    assert ms.read_many([]).tolist() == [] and ms.read_many([9, 0, 9]).tolist() == [9, 0, 9]
     assert ms.count == 3 and ms.log == [9, 0, 9]
 
 
@@ -118,11 +118,25 @@ def test_view_read_many_bounds_are_the_view_s_own():
         with pytest.raises(IndexError, match=rf"read at {bad} out of bounds \[0, 5\)"):
             v.read_many(positions)
     assert ms.count == 0
-    assert v.read_many([4, 0, 4]) == [8, 4, 8] and ms.log == [8, 4, 8]
+    assert v.read_many([4, 0, 4]).tolist() == [8, 4, 8] and ms.log == [8, 4, 8]
     whole = ms.view()
-    assert whole.read_many([15, 0]) == [15, 0] and ms.log == [8, 4, 8, 15, 0]
+    assert whole.read_many([15, 0]).tolist() == [15, 0] and ms.log == [8, 4, 8, 15, 0]
     with pytest.raises(IndexError, match=r"read at 16 out of bounds \[0, 16\)"):
         whole.read_many([0, 16])
+
+
+def test_symbols_beyond_int64_read_back_exactly():
+    # numpy would infer float64 for these and lose the low bits
+    big = [2**63, 2**64 + 5, 7, 2**63 - 1]
+    ms = MeteredString(big, log=True, track_distinct=True)
+    assert ms.read_many([1, 0, 3, 2]).tolist() == [2**64 + 5, 2**63, 2**63 - 1, 7]
+    assert View(ms, 1, 3).read_many([0, 2]).tolist() == [2**64 + 5, 2**63 - 1]
+    assert ms.read(0) == 2**63 and type(ms.read(0)) is int
+    assert ms.distinct_count() == 4 and ms.log == [1, 0, 3, 2, 1, 3, 0, 0]
+    mixed = MeteredString([1, 2**63 + 1])
+    assert mixed.read_many([1, 0]).tolist() == [2**63 + 1, 1]
+    small = MeteredString([2**63 - 1, 0])
+    assert small.read_many([0]).tolist() == [2**63 - 1] and type(small.read(1)) is int
 
 
 def test_uniform_index_basics():

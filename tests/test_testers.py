@@ -75,6 +75,13 @@ def test_equality_trivial_yes():
         assert equality_test(as_view(x), as_view(list(x)), 4, 0.2, RandomStream(seed))
 
 
+def test_batched_equality_answers_python_bools():
+    x = rand_sym(1, 256)
+    batch = Batch(as_view(x), (as_view(list(x)), as_view(rand_sym(2, 256))))
+    got = batched_equality(batch, 4, 0.2, RandomStream(0))
+    assert got == [True, False] and all(type(v) is bool for v in got)
+
+
 def test_equality_vacuous_alpha_reads_nothing():
     x = rand_sym(2, 128)
     xm, ym = MeteredString(x), MeteredString(list(reversed(x)))
@@ -285,18 +292,24 @@ def test_h0_hand_made_windows_match_window_by_window():
         (0, 32), (32, 32), (990, 11), (5, 9), (0, 1), (991, 10), (100, 64), (200, 64), (300, 32)
     ]
     x, ys = _h0_contents(1001)
-    for q in (1, 2):
-        results = []
-        for plan_fn in (batched_shifted_h0, per_block(_h0_one_window)):
-            xm = MeteredString(x, log=True)
-            yms = [MeteredString(y, log=True) for y in ys[:q]]
-            batch = Batch(xm.view(), tuple(ym.view() for ym in yms))
-            rs = RandomStream(3)
-            with oracle_call_tally() as box:
-                rows = plan_fn(batch, windows, 9, 9, 0.1, rs)
-            results.append((rows, box[0], rs._state, xm.log, [ym.log for ym in yms]))
-        assert results[0] == results[1]
-        assert [row[0] for row in results[0][0][3:5]] == [True, True]  # ED <= length <= beta
+    # moving the nonzero symbols past int64 keeps every equality, so every row
+    by_base = {}
+    for base in (0, 2**63, 2**64 + 5):
+        for q in (1, 2):
+            results = []
+            for plan_fn in (batched_shifted_h0, per_block(_h0_one_window)):
+                xm = MeteredString([v and base + v for v in x], log=True)
+                yms = [MeteredString([v and base + v for v in y], log=True) for y in ys[:q]]
+                batch = Batch(xm.view(), tuple(ym.view() for ym in yms))
+                rs = RandomStream(3)
+                with oracle_call_tally() as box:
+                    rows = plan_fn(batch, windows, 9, 9, 0.1, rs)
+                results.append((rows, box[0], rs._state, xm.log, [ym.log for ym in yms]))
+            assert results[0] == results[1]
+            assert [row[0] for row in results[0][0][3:5]] == [True, True]  # ED <= length <= beta
+            by_base.setdefault(q, []).append(results[0])
+    for runs in by_base.values():
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_h0_rejects_bad_thresholds_before_any_read():
