@@ -1,15 +1,18 @@
-"""Refactor safety net: committed grid CSVs and pinned gap and shifted dispatch tables.
+"""Refactor safety net: committed grid CSVs, pinned gap and shifted dispatch
+tables, and a digest of generated instances.
 
-The files under tests/golden/ were written by the code they guard. A change
-that alters a random draw, a metered read, an oracle-call count, a verdict,
-a dispatch tier or an UnsupportedRegimeError's max_beta or max_gamma shows up here as a
-byte difference. Rewrite them (only for an intended change, said so in
-CHANGES.md) with:
+The files under tests/golden/ and GENERATE_DIGEST were written by the code
+they guard. A change that alters a random draw, a generated symbol, a
+metered read, an oracle-call count, a verdict, a dispatch tier or an
+UnsupportedRegimeError's max_beta or max_gamma shows up here as a byte
+difference. Rewrite them (only for an intended change, said so in
+CHANGES.md) with the command below, which also prints the digest to pin:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import csv
+import hashlib
 import io
 from math import isqrt
 from pathlib import Path
@@ -17,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from gapedit.intmath import ceil_log2, iroot
-from gapedit.harness import CSV_COLUMNS, GridConfig, grid_csv_text
+from gapedit.harness import CSV_COLUMNS, FAMILIES, GridConfig, InstanceSpec, generate, grid_csv_text
+from gapedit.metering import RandomStream
 from gapedit.reductions import ParameterError
 from gapedit.testers import (
     TesterConfig,
@@ -42,6 +46,11 @@ GRIDS = {
     "main_equality_small": GridConfig(
         n=(4096,), k=(0, 16), c=(1.5, 2.0), tester=("main", "equality"),
         trials=4, seed=3,
+    ),
+    # the two families no other golden builds, next to random-edits
+    "families_small": GridConfig(
+        n=(4096,), k=(16,), c=(2.0,), tester=("main",),
+        family=("random-edits", "padded-hard", "unrelated"), trials=4, seed=3,
     ),
 }
 
@@ -102,6 +111,32 @@ def test_golden_grid_csv(name):
     expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     diffs = csv_diff(expected, grid_text(name))
     assert not diffs, f"{name}.csv differs from the golden file:\n" + "\n".join(diffs)
+
+
+# ---------------------------------------------------------------------------
+# Generated symbols
+# ---------------------------------------------------------------------------
+
+# (n, k, c) points every family builds at; n = 8192 is past the exact-DP
+# certificate limit, so its certificates are the construction bounds
+GENERATE_POINTS = ((1024, 4, 2.0), (4096, 16, 2.0), (8192, 8, 1.5))
+GENERATE_DIGEST = "fc8a6580312d67cccd3d39d3332b8c500b4e4ba5bf6cfc958522cd0a57a8525f"
+
+
+def generate_digest() -> str:
+    """sha256 over every (family, side, point)'s symbols and certificate:
+    the grid goldens record counts, not symbols."""
+    h = hashlib.sha256()
+    for seed, (family, side, (n, k, c)) in enumerate(
+        (f, s, p) for f in FAMILIES for s in ("yes", "no") for p in GENERATE_POINTS
+    ):
+        x, y, cert = generate(InstanceSpec(family, n, k, side=side, c=c), RandomStream(seed))
+        h.update(repr((family, side, n, k, c, x, y, cert.lo, cert.hi)).encode())
+    return h.hexdigest()
+
+
+def test_generated_instances_are_pinned():
+    assert generate_digest() == GENERATE_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +249,7 @@ def write_golden() -> None:
     for n in DISPATCH_NS:
         rows.extend(shifted_dispatch_rows(n))
     (GOLDEN / "shifted_dispatch.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    print(f"GENERATE_DIGEST = {generate_digest()!r}")
 
 
 if __name__ == "__main__":
