@@ -20,13 +20,7 @@ from statistics import mean, median
 from typing import Iterable, Optional
 
 from .metering import MeteredString, RandomStream
-from .reductions import (
-    ParameterError,
-    exact_gap_oracle,
-    multilevel_reduce,
-    oracle_call_tally,
-    single_level_reduce,
-)
+from .reductions import ParameterError, multilevel_reduce, oracle_call_tally, single_level_reduce
 from .strings import (
     EXCEEDS,
     GAP,
@@ -36,13 +30,7 @@ from .strings import (
     ed_exact,
     gap_ed_banded,
 )
-from .testers import (
-    TesterConfig,
-    UnsupportedRegimeError,
-    baseline_gap,
-    equality_test,
-    main_gap,
-)
+from .testers import TesterConfig, baseline_gap, equality_test, main_gap, one_sided_passes
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -171,9 +159,18 @@ def _plant_substitutions(
     return y
 
 
-def _planted_no_count(n: int, k: int, c: float) -> int:
-    alpha = ladder_alpha(k, c)
-    return min(n, alpha + 1 + max(1, k))
+def _plant(
+    x: list[int], spec: InstanceSpec, fresh_base: int, rs: RandomStream
+) -> tuple[list[int], TruthCert]:
+    """The edited copy of x for spec.side and its certificate: YES plants
+    min(k, |x|) substitutions, NO plants min(|x|, alpha + 1 + max(1, k))
+    fresh symbols from fresh_base on, with alpha = ladder_alpha(k, c)."""
+    if spec.side == "yes":
+        edits = min(spec.k, len(x))
+        return _plant_substitutions(x, edits, spec.alphabet_size, rs, None), TruthCert(0, edits)
+    planted = min(len(x), ladder_alpha(spec.k, spec.c) + 1 + max(1, spec.k))
+    y = _plant_substitutions(x, planted, spec.alphabet_size, rs, fresh_base)
+    return y, TruthCert(planted, planted)
 
 
 def generate(spec: InstanceSpec, rs: RandomStream) -> tuple[list[int], list[int], TruthCert]:
@@ -220,13 +217,7 @@ def _generate_raw(spec: InstanceSpec, rs: RandomStream) -> tuple[list[int], list
 
     if fam == "random-edits":
         x = rs.child("x").symbols(n, a)
-        if spec.side == "yes":
-            edits = min(k, n)
-            y = _plant_substitutions(x, edits, a, rs.child("edits"), None)
-            return x, y, TruthCert(0, edits)
-        planted = _planted_no_count(n, k, spec.c)
-        y = _plant_substitutions(x, planted, a, rs.child("edits"), a)
-        return x, y, TruthCert(planted, planted)
+        return (x, *_plant(x, spec, a, rs.child("edits")))
 
     assert fam == "padded-hard"
     alpha = ladder_alpha(k, spec.c)
@@ -237,14 +228,7 @@ def _generate_raw(spec: InstanceSpec, rs: RandomStream) -> tuple[list[int], list
         )
     pad_sym = 0
     core_x = [1 + s for s in rs.child("core").symbols(core_len, a - 1)]
-    if spec.side == "yes":
-        edits = min(k, core_len)
-        core_y = _plant_substitutions(core_x, edits, a, rs.child("edits"), None)
-        cert = TruthCert(0, edits)
-    else:
-        planted = min(core_len, alpha + 1 + max(1, k))
-        core_y = _plant_substitutions(core_x, planted, a, rs.child("edits"), a + 1)
-        cert = TruthCert(planted, planted)
+    core_y, cert = _plant(core_x, spec, a + 1, rs.child("edits"))
     slots = n // core_len
     i = rs.child("slot").uniform_index(slots)
     lead = [pad_sym] * (core_len * i)
@@ -266,11 +250,11 @@ def _t_baseline(xv, yv, alpha, beta, cfg, rs):
 
 
 def _t_multilevel(xv, yv, alpha, beta, cfg, rs):
-    return multilevel_reduce(xv, yv, alpha, max(beta, 1), max(beta, 1), exact_gap_oracle, rs).yes
+    return one_sided_passes(multilevel_reduce, xv, yv, alpha, max(beta, 1), cfg.delta, rs)
 
 
 def _t_single_level(xv, yv, alpha, beta, cfg, rs):
-    return single_level_reduce(xv, yv, alpha, max(beta, 1), max(beta, 1), exact_gap_oracle, rs).yes
+    return one_sided_passes(single_level_reduce, xv, yv, alpha, max(beta, 1), cfg.delta, rs)
 
 
 def _t_equality(xv, yv, alpha, beta, cfg, rs):
@@ -435,7 +419,7 @@ def run_grid(config: GridConfig, out) -> GridResult:
             with oracle_call_tally() as tally:
                 try:
                     verdict = YES if fn(xm.view(), ym.view(), alpha, beta, tester_cfg, trs.child("run")) else NO
-                except (UnsupportedRegimeError, ParameterError) as exc:
+                except ParameterError as exc:
                     reasons[str(exc)] = None
                     status = "unsupported"
             wall = time.perf_counter_ns() - t0

@@ -9,6 +9,7 @@ so a tester that branches on symbol equality takes different paths on them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -132,6 +133,13 @@ def _mirror(data: list[int]) -> np.ndarray:
         return np.array(data, dtype=object)
 
 
+def _int64_index(p) -> int:
+    """p as a list index takes it (an int: 1.5 or '3' raise TypeError), or
+    -1 for an int beyond int64; either way outside a window iff p is."""
+    i = operator.index(p)
+    return i if -(1 << 63) <= i < 1 << 63 else -1
+
+
 class MeteredString:
     """Read-only character source that counts (and optionally logs) every access.
 
@@ -180,20 +188,25 @@ class MeteredString:
         (default: the whole string), which lies inside the string as a View's
         does, gathered as one array in the order given.
 
-        A position outside the window raises IndexError naming the first such
-        position, and a refused call charges nothing.
+        Positions are ints, as a list index takes them: a float or a str
+        raises TypeError. A position outside the window, an int beyond int64
+        too, raises IndexError naming the first such position. A refused call
+        charges nothing. An int64 array is used as given, with no conversion.
         """
         data = self._array
         if data is None:
             data = self._array = _mirror(self._data)
         if length is None:
             length = len(data)
-        pos = np.asarray(positions, dtype=np.int64)
+        if isinstance(positions, np.ndarray) and positions.dtype == np.int64:
+            pos = positions
+        else:
+            pos = np.fromiter(map(_int64_index, positions), dtype=np.int64)
         # through the unsigned view a negative position reads as >= 2^63, so
         # one comparison checks both bounds
         outside = pos.view(np.uint64) >= length
         if np.count_nonzero(outside):
-            raise IndexError(f"read at {pos[outside][0]} out of bounds [0, {length})")
+            raise IndexError(f"read at {positions[np.argmax(outside)]} out of bounds [0, {length})")
         if start:
             pos = pos + start
         self.count += pos.size
@@ -203,28 +216,36 @@ class MeteredString:
             self._marks[pos] = 1
         return data[pos]
 
-    def read_blocks(self, starts: Sequence[int], length: int) -> Iterator[list[int]]:
-        """The blocks [s, s + length) for s in `starts`, in order.
+    def read_blocks(
+        self, starts: Sequence[int], size: int, start: int = 0, length: Optional[int] = None
+    ) -> Iterator[list[int]]:
+        """The blocks [s, s + size) for s in `starts`, in order, of the window
+        [start, start + length) (default: the whole string), as in read_many.
 
-        The call charges every block (count, log and distinct positions)
-        before it returns, and a refused call charges nothing. The blocks are
-        sliced only as the caller iterates.
+        A block outside the window raises IndexError. The call charges every
+        block (count, log and distinct positions) before it returns, and a
+        refused call charges nothing. The blocks are sliced only as the caller
+        iterates.
         """
         data = self._data
-        if length < 0 or (starts and (min(starts) < 0 or max(starts) + length > len(data))):
-            raise IndexError(f"read_blocks of length {length} out of bounds [0, {len(data)})")
-        self.count += length * len(starts)
+        if length is None:
+            length = len(data)
+        if size < 0 or (starts and (min(starts) < 0 or max(starts) + size > length)):
+            raise IndexError(f"read_blocks of length {size} out of bounds [0, {length})")
+        if start:
+            starts = [start + s for s in starts]
+        self.count += size * len(starts)
         if self._log is not None:
             log = self._log
             for s in starts:
-                log.extend(range(s, s + length))
+                log.extend(range(s, s + size))
         if self._touched is not None:
-            t, ones = self._touched, b"\x01" * length
+            t, ones = self._touched, b"\x01" * size
             for s in starts:
-                t[s : s + length] = ones
+                t[s : s + size] = ones
         # a generator expression, not a generator function, which would
         # defer the charge above to the caller's first next()
-        return (data[s : s + length] for s in starts)
+        return (data[s : s + size] for s in starts)
 
     def read_range(self, start: int, length: int) -> list[int]:
         """The block [start, start + length): the one-start case of `read_blocks`."""

@@ -51,8 +51,9 @@ def symbols(s: Union[str, bytes, Iterable[int]]) -> list[int]:
 class View:
     """A (source, start, length) window into a ``MeteredString``.
 
-    Every read goes through the source, which charges it.
-    Sub-views compose: ``v.sub(a, l).sub(b, m) == v.sub(a + b, m)``.
+    Every read goes through the source with the view's window; the source
+    checks it, once, and charges it, so a read outside the view raises the
+    source's IndexError. Sub-views compose: ``v.sub(a, l).sub(b, m) == v.sub(a + b, m)``.
     """
 
     source: object
@@ -77,21 +78,14 @@ class View:
         """The symbols at `positions` of this view, gathered as one array."""
         return self.source.read_many(positions, self.start, self.length)
 
-    def fetch(self, start: int = 0, length: int | None = None) -> list[int]:
-        """Materialize a sub-range as a list, charged to the source."""
-        if length is None:
-            length = self.length - start
-        if start < 0 or length < 0 or start + length > self.length:
-            raise ValueError("fetch out of bounds")
-        return self.source.read_range(self.start + start, length)
+    def fetch(self) -> list[int]:
+        """The whole view as a list, charged to the source."""
+        return self.source.read_range(self.start, self.length)
 
     def fetch_blocks(self, starts: Sequence[int], length: int) -> Iterator[list[int]]:
         """The sub-ranges [s, s + length) for s in `starts`, charged to the
         source when called and handed out in order as the caller iterates."""
-        if length < 0 or (starts and (min(starts) < 0 or max(starts) + length > self.length)):
-            raise ValueError("fetch out of bounds")
-        offset = self.start
-        return self.source.read_blocks([offset + s for s in starts] if offset else starts, length)
+        return self.source.read_blocks(starts, length, self.start, self.length)
 
 
 def as_view(s) -> View:

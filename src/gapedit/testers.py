@@ -19,7 +19,8 @@ One admission rule serves every tier: the depth-h gap gate
 gap gate at beta = 3*gamma). The h1 and h2 tiers are the gap gate's depths
 1 and 2, the h1s and s3 tiers the shifted gate's. Every tier's guard, the
 baseline and both dispatchers call it at their depth: the gap dispatch
-walks h = 0, 1, 2, ... and the shifted dispatch h = 0, 1, 2.
+walks h = 0, 1, 2, ... and the shifted dispatch h = 0, 1, 2. Every gated
+tier and the dispatch at an explicit depth refuse through ``admit``.
 
 Every tier of the mutual recursion runs the two batch reductions of
 ``reductions``, which hand each oracle call its share of the error budget
@@ -70,7 +71,7 @@ from .reductions import (
 from .strings import GapInstance, ShiftedInstance, View
 
 
-class UnsupportedRegimeError(ValueError):
+class UnsupportedRegimeError(ParameterError):
     """No implemented tier admits these parameters; carries the largest usable thresholds."""
 
     def __init__(self, message: str, max_beta: Optional[int] = None, max_gamma: Optional[int] = None):
@@ -128,15 +129,13 @@ def batched_equality(batch: Batch, alpha: int, delta: float, rs: RandomStream) -
         return [True] * batch.q  # ED <= n <= alpha: the NO promise is vacuous
     dp = min(delta, 1 / 3)
     m = min(n, int(-(-(n / (1 + alpha)) * log(1 / dp) // 1)))
-    positions = [rs.uniform_index(n) for _ in range(m)]
+    positions = np.array([rs.uniform_index(n) for _ in range(m)], dtype=np.int64)
     got_x = batch.x.read_many(positions)
     return [not np.count_nonzero(y.read_many(positions) != got_x) for y in batch.ys]
 
 
 def equality_test(xv: View, yv: View, alpha: int, delta: float, rs: RandomStream) -> bool:
     """Gap tester for thresholds (alpha, 0): the q = 1 case of batched_equality."""
-    if len(yv) != len(xv):
-        raise ParameterError("equality test needs equal lengths")
     if alpha < 0:
         raise ParameterError("alpha must be >= 0")
     return batched_equality(single(xv, yv), alpha, delta, rs)[0]
@@ -286,6 +285,19 @@ def baseline_max_beta(n: int, alpha: int, h: int) -> int:
     return iroot(2 * (h + 1), alpha ** (2 * h) // denom)
 
 
+def admit(n: int, alpha: int, beta: int, h: int) -> None:
+    """Raise UnsupportedRegimeError, carrying baseline_max_beta, unless the
+    depth-h gap gate admits beta at (n, alpha). The one refusal of every
+    gated tier; a shifted tier asks at beta = 3*gamma."""
+    if not baseline_gap_gate(n, alpha, beta, h):
+        best = baseline_max_beta(n, alpha, h)
+        raise UnsupportedRegimeError(
+            f"depth-{h} gate rejects beta={beta} at n={n}, alpha={alpha}; "
+            f"largest admissible beta is {best}",
+            max_beta=best,
+        )
+
+
 # ---------------------------------------------------------------------------
 # h = 1 gap, h = 1 shifted, h = 2 gap
 # ---------------------------------------------------------------------------
@@ -356,11 +368,7 @@ def batched_gap_h1(
     n = len(batch.x)
     if beta == 0:
         return batched_equality(batch, alpha, delta, rs)
-    if not baseline_gap_gate(n, alpha, beta, 1):
-        raise ParameterError(
-            f"h=1 gate beta^2 <= alpha/(336 ceil(log2 n)) fails: "
-            f"n={n} alpha={alpha} beta={beta}"
-        )
+    admit(n, alpha, beta, 1)
 
     def shifted_fn(sub, plan, a, b, g, d, stream):
         assert g == 0, "the gate guarantees a zero shift threshold"
@@ -369,17 +377,21 @@ def batched_gap_h1(
     return _majority_votes(batch, alpha, beta, beta, shifted_fn, delta, rs)
 
 
-def h1_shifted_params(n: int, alpha: int, beta: int, gamma: int, q: int) -> tuple[int, int]:
+def grid_xi(beta: int, gamma: int, q: int) -> int:
+    """The offset-grid spread xi = max(gamma, min(beta, floor(gamma*sqrt(beta/q))))
+    of the h=1 and h=2 shifted paths: it balances batch count against batch size."""
+    return max(gamma, min(beta, isqrt(gamma * gamma * beta // q)))
+
+
+def h1_shifted_params(n: int, alpha: int, beta: int, q: int) -> tuple[int, int]:
     """(gamma_bar, xi) for the h=1 shifted tester.
 
     gamma is artificially raised to gamma_bar = min(beta, floor(sqrt(alpha /
-    (9 * 336 ceil(log2 n))))) and the grid spread balances batch count against
-    batch size: xi = max(gamma_bar, min(beta, floor(gamma_bar*sqrt(beta/q)))).
+    (9 * 336 ceil(log2 n))))), and xi is grid_xi at gamma_bar.
     """
     # max(n, 2) counts at least one level, so n = 1 does not divide by zero
     gbar = min(beta, isqrt(alpha // (9 * gate_factor(max(n, 2)))))
-    xi = max(gbar, min(beta, isqrt(gbar * gbar * beta // q)))
-    return gbar, xi
+    return gbar, grid_xi(beta, gbar, q)
 
 
 def batched_shifted_h1(
@@ -391,12 +403,8 @@ def batched_shifted_h1(
         raise ParameterError("need alpha >= beta >= gamma >= 0")
     if gamma == 0:
         return batched_shifted_h0(batch, [(0, n)], alpha, beta, delta, rs)[0]
-    if not baseline_shifted_gate(n, alpha, gamma, 1):
-        raise ParameterError(
-            f"h=1 shifted gate gamma^2 <= alpha/(3024 ceil(log2 n)) fails: "
-            f"n={n} alpha={alpha} gamma={gamma}"
-        )
-    gbar, xi = h1_shifted_params(n, alpha, beta, gamma, batch.q)
+    admit(n, alpha, 3 * gamma, 1)
+    gbar, xi = h1_shifted_params(n, alpha, beta, batch.q)
     assert baseline_gap_gate(n, alpha, 3 * gbar, 1), "raised gamma keeps the h=1 gap gate valid"
     outs = shifted_to_gap(batch, alpha, beta, gbar, 1 + xi, batched_gap_h1, delta, rs)
     return [out.yes for out in outs]
@@ -419,11 +427,7 @@ def batched_gap_h2(
     n = len(batch.x)
     if beta == 0:
         return batched_equality(batch, alpha, delta, rs)
-    if not baseline_gap_gate(n, alpha, beta, 2):
-        raise ParameterError(
-            f"h=2 gate beta <= alpha^(2/3)/(336 ceil(log2 n)) fails: "
-            f"n={n} alpha={alpha} beta={beta}"
-        )
+    admit(n, alpha, beta, 2)
     if baseline_gap_gate(n, alpha, beta, 1):
         return batched_gap_h1(batch, alpha, beta, delta, rs)
     phi = h2_phi(n, alpha, beta)
@@ -442,12 +446,8 @@ def baseline_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool
     """Depth-h mutual recursion for the gap problem, majority-amplified to cfg.delta."""
     if cfg.h is None:
         raise ParameterError("baseline_gap needs an explicit recursion depth cfg.h")
-    n, alpha, beta, h = inst.n, inst.alpha, inst.beta, cfg.h
-    if not baseline_gap_gate(n, alpha, beta, h):
-        raise ParameterError(
-            f"depth-{h} gate rejects beta={beta} at n={n}, alpha={alpha}; "
-            f"largest admissible beta is {baseline_max_beta(n, alpha, h)}"
-        )
+    alpha, beta, h = inst.alpha, inst.beta, cfg.h
+    admit(inst.n, alpha, beta, h)
     if beta == 0:
         return equality_test(inst.x, inst.y, alpha, cfg.delta, rs)
     shifted_fn = per_block(_each(baseline_shifted, ShiftedInstance, replace(cfg, h=h - 1)))
@@ -459,11 +459,8 @@ def baseline_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream)
     """Depth-h shifted tester: offset grid plus depth-h gap calls."""
     if cfg.h is None:
         raise ParameterError("baseline_shifted needs an explicit recursion depth cfg.h")
-    n, alpha, gamma, h = inst.n, inst.alpha, inst.gamma, cfg.h
-    if not baseline_shifted_gate(n, alpha, gamma, h):
-        raise ParameterError(
-            f"depth-{h} shifted gate rejects gamma={gamma} at n={n}, alpha={alpha}"
-        )
+    alpha, gamma = inst.alpha, inst.gamma
+    admit(inst.n, alpha, 3 * gamma, cfg.h)
     spread = shift_grid_spread(inst.beta, gamma)
     gap_fn = _each(baseline_gap, GapInstance, cfg)
     [out] = shifted_to_gap(
@@ -494,10 +491,7 @@ def plan_gap_dispatch(n: int, alpha: int, beta: int, cfg: TesterConfig):
         if baseline_gap_gate(n, alpha, beta, h) or (h == 0 and alpha >= n):
             return (("equality",), ("h1",), ("h2",))[h] if h < 3 else ("recursion", h)
     if cfg.h is not None:
-        raise UnsupportedRegimeError(
-            f"depth-{cfg.h} gate rejects beta={beta} at n={n}, alpha={alpha}",
-            max_beta=baseline_max_beta(n, alpha, cfg.h),
-        )
+        admit(n, alpha, beta, cfg.h)  # the gate refused cfg.h above, so this raises
     if alpha >= 10 * beta and multilevel_levels(n, alpha, beta):
         return ("multilevel",)
     best = max(alpha // 10, baseline_max_beta(n, alpha, 1), baseline_max_beta(n, alpha, 2))
@@ -506,6 +500,16 @@ def plan_gap_dispatch(n: int, alpha: int, beta: int, cfg: TesterConfig):
         f"largest admissible beta is {best}",
         max_beta=best,
     )
+
+
+def one_sided_passes(
+    reduce, xv: View, yv: View, alpha: int, beta: int, delta: float, rs: RandomStream
+) -> bool:
+    """YES iff all reps_any(delta) passes of a one-sided block reduction (at
+    phi = beta, over exact_gap_oracle) answer YES. Every pass runs (a list,
+    not a generator), so the reads stay non-adaptive."""
+    reps = reps_any(delta)
+    return all([reduce(xv, yv, alpha, beta, beta, exact_gap_oracle, rs).yes for _ in range(reps)])
 
 
 def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
@@ -524,14 +528,7 @@ def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
         batch = single(inst.x, inst.y)
         return _majority_votes(batch, alpha, beta, beta, shifted_fn, cfg.delta, rs)[0]
     assert tier[0] == "multilevel"
-    reps = reps_any(cfg.delta)
-    results = [
-        multilevel_reduce(
-            inst.x, inst.y, alpha, beta, beta, exact_gap_oracle, rs
-        ).yes
-        for _ in range(reps)
-    ]
-    return all(results)
+    return one_sided_passes(multilevel_reduce, inst.x, inst.y, alpha, beta, cfg.delta, rs)
 
 
 def plan_shifted_dispatch(n: int, alpha: int, beta: int, gamma: int):
@@ -578,8 +575,8 @@ def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> b
     leaves served by the h=2 gap tester on per-offset batches."""
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
     assert baseline_gap_gate(n, alpha, 3 * gamma, 2), "s3 gate implies the h=2 gap gate for 3*gamma"
-    xi = max(gamma, min(beta, isqrt(gamma * gamma * beta)))
+    spread = 1 + grid_xi(beta, gamma, 1)
     [out] = shifted_to_gap(
-        single(inst.x, inst.y), alpha, beta, gamma, 1 + xi, batched_gap_h2, cfg.delta, rs
+        single(inst.x, inst.y), alpha, beta, gamma, spread, batched_gap_h2, cfg.delta, rs
     )
     return out.yes

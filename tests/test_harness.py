@@ -254,6 +254,23 @@ def test_exit_code_zero_when_any_cell_supported():
     assert result.exit_code == 0
 
 
+def test_one_sided_testers_honour_delta():
+    # tester=multilevel runs main's multilevel tier, so it reads what main
+    # reads at every delta; single-level runs reps_any(delta) passes as well
+    got = {}
+    for delta in (0.3, 0.01):
+        testers = ("main", "multilevel", "single-level")
+        text, _ = grid_csv_text(GridConfig(tester=testers, trials=2, seed=2, delta=delta))
+        for r in csv.DictReader(io.StringIO(text)):
+            if r["record"] == "trial":
+                got[r["tester"], delta, r["trial"]] = (r["queries_total"], int(r["oracle_calls"]))
+    for t in "01":
+        for delta in (0.3, 0.01):
+            assert got["multilevel", delta, t] == got["main", delta, t]
+        # reps_any(0.3) = 2 passes, reps_any(0.01) = 5
+        assert 2 * got["single-level", 0.01, t][1] == 5 * got["single-level", 0.3, t][1]
+
+
 def test_trial_record_row_shape():
     rec = TrialRecord(
         tester="main", family="random-edits", n=8, k=1, c=2.0, h=None,

@@ -1,5 +1,6 @@
 """Metered access, seeded randomness, and the non-adaptivity certifier."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,7 +63,7 @@ def test_view_reads_charge_meter():
     ms = MeteredString(list(range(16)))
     v = View(ms, 4, 8)
     assert v.read_many([0]).tolist() == [4]
-    assert v.fetch(2, 3) == [6, 7, 8]
+    assert v.sub(2, 3).fetch() == [6, 7, 8]
     assert ms.count == 4
 
 
@@ -76,7 +77,7 @@ def test_block_reads_charge_as_one_read_per_block():
         bulk_view, single_view = View(bulk, offset, 19), View(single, offset, 19)
         for starts, length in runs:
             blocks = bulk_view.fetch_blocks(starts, length)
-            expected = [single_view.fetch(s, length) for s in starts]
+            expected = [single_view.sub(s, length).fetch() for s in starts]
             # charged before the first block is taken
             assert (bulk.count, bulk.log, bulk.distinct_count()) == (
                 single.count, single.log, single.distinct_count()
@@ -88,11 +89,11 @@ def test_block_reads_charge_as_one_read_per_block():
                 single.count, single.log, single.distinct_count()
             )
             assert list(blocks) == expected
-        # out of bounds: the view checks its own bounds, the source its own;
+        # out of bounds: the source checks the view's window, or its own;
         # a refused call charges nothing
         charged = (bulk.count, list(bulk.log), bulk.distinct_count())
         for starts, length in (([0, 12], 8), ([-1], 2), ([0], -1)):
-            with pytest.raises(ValueError, match="fetch out of bounds"):
+            with pytest.raises(IndexError, match=r"out of bounds \[0, 19\)"):
                 bulk_view.fetch_blocks(starts, length)
         for starts, length in (([0, 29], 2), ([-1, 3], 1), ([], -1)):
             with pytest.raises(IndexError, match=r"out of bounds \[0, 30\)"):
@@ -123,6 +124,26 @@ def test_view_read_many_bounds_are_the_view_s_own():
     assert whole.read_many([15, 0]).tolist() == [15, 0] and ms.log == [8, 4, 8, 15, 0]
     with pytest.raises(IndexError, match=r"read at 16 out of bounds \[0, 16\)"):
         whole.read_many([0, 16])
+
+
+def test_read_many_takes_integer_positions_only():
+    # a float or a str is refused as a list index refuses it, not truncated
+    # or parsed; an int beyond int64 is out of bounds, named as given
+    ms = MeteredString(list(range(16)), log=True, track_distinct=True)
+    for reader, size in ((ms, 16), (View(ms, 4, 5), 5)):
+        for positions in ([1.5], [0, "3"], np.array([1.0]), [1, None]):
+            with pytest.raises(TypeError):
+                reader.read_many(positions)
+        beyond_int64 = (([0, 2**70], 2**70), ([-(2**64), 1], -(2**64)), ([2**63, 99], 2**63))
+        for positions, bad in beyond_int64:
+            with pytest.raises(IndexError, match=rf"read at {bad} out of bounds \[0, {size}\)"):
+                reader.read_many(positions)
+        with pytest.raises(IndexError, match=rf"read at {size} out of bounds"):
+            reader.read_many([size, 2**70])  # the first bad position is named
+    assert ms.count == 0 and ms.log == [] and ms.distinct_count() == 0
+    # integer types other than int64 are read as the ints they are
+    assert View(ms, 4, 5).read_many(np.array([4, 0], dtype=np.int32)).tolist() == [8, 4]
+    assert ms.read_many((np.uint64(3), True)).tolist() == [3, 1] and ms.log == [8, 4, 3, 1]
 
 
 def test_symbols_beyond_int64_read_back_exactly():

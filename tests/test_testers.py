@@ -400,13 +400,13 @@ def test_h1_plan_is_content_independent():
 
 def test_h1_shifted_params_worked_examples():
     # n=2^16, alpha=2^20: raised floor is min(beta, isqrt(2^20/48384)) = min(beta, 4)
-    gbar, _ = h1_shifted_params(1 << 16, 1 << 20, 16, 1, 1)
+    gbar, _ = h1_shifted_params(1 << 16, 1 << 20, 16, 1)
     assert gbar == 4
-    gbar, _ = h1_shifted_params(1 << 16, 1 << 20, 2, 1, 1)
+    gbar, _ = h1_shifted_params(1 << 16, 1 << 20, 2, 1)
     assert gbar == 2
     # q <= gbar^2/beta forces the spread to beta (few large batches)
     n, alpha = 1 << 18, 54432 * 16
-    gbar, xi = h1_shifted_params(n, alpha, 8, 1, 2)  # gbar = 4, q=2 <= 16/8
+    gbar, xi = h1_shifted_params(n, alpha, 8, 2)  # gbar = 4, q=2 <= 16/8
     assert gbar == 4 and xi == 8
 
 
@@ -682,6 +682,46 @@ def test_plan_gap_dispatch_explicit_h():
         plan_gap_dispatch(1 << 14, 8192, 2, TesterConfig(h=1))
     with pytest.raises(UnsupportedRegimeError):
         plan_gap_dispatch(1 << 14, 8192, 1, TesterConfig(h=0))
+
+
+def test_every_gate_refusal_carries_the_depth_s_max_beta():
+    # each gated tier, and the dispatch at an explicit depth, refuses a beta
+    # past its depth-h gate (3*gamma for the shifted tiers) with one error,
+    # before it reads anything: an UnsupportedRegimeError, so a
+    # ParameterError, whose max_beta is baseline_max_beta
+    n = 1024
+    f = 336 * ceil_log2(n)
+    xm = MeteredString([0] * n)
+    x = xm.view()
+    batch = single(x, x)
+    rs = RandomStream(1)
+
+    def gap(a, b, h):
+        return baseline_gap(GapInstance(x, x, a, b), TesterConfig(delta=0.3, h=h), rs)
+
+    def shifted(a, b, h):
+        return baseline_shifted(
+            ShiftedInstance(x, x, a, b // 3, b // 3), TesterConfig(delta=0.3, h=h), rs
+        )
+
+    refusals = [  # (h, alpha, the refused beta or 3*gamma, call)
+        (1, 4 * f, 3, lambda a, b: batched_gap_h1(batch, a, b, 0.3, rs)),
+        (2, f**3, f + 1, lambda a, b: batched_gap_h2(batch, a, b, 0.3, rs)),
+        (0, 64, 1, lambda a, b: gap(a, b, 0)),
+        (1, 4 * f, 3, lambda a, b: gap(a, b, 1)),
+        (1, 64 * f, 9, lambda a, b: batched_shifted_h1(batch, a, b // 3, b // 3, 0.3, rs)),
+        (0, 64, 3, lambda a, b: shifted(a, b, 0)),
+        (1, 64 * f, 9, lambda a, b: shifted(a, b, 1)),
+        (1, 4 * f, 3, lambda a, b: plan_gap_dispatch(n, a, b, TesterConfig(h=1))),
+    ]
+    for h, alpha, beta, call in refusals:
+        best = baseline_max_beta(n, alpha, h)
+        assert best < beta and baseline_gap_gate(n, alpha, best, h)
+        with pytest.raises(UnsupportedRegimeError) as exc:
+            call(alpha, beta)
+        assert isinstance(exc.value, ParameterError) and exc.value.max_beta == best
+        assert f"largest admissible beta is {best}" in str(exc.value)
+    assert xm.count == 0
 
 
 def test_plan_shifted_dispatch_tiers():
