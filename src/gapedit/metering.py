@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -140,6 +140,24 @@ def _int64_index(p) -> int:
     return i if -(1 << 63) <= i < 1 << 63 else -1
 
 
+class _Blocks(Sequence[list[int]]):
+    """The blocks [s, s + size) of `data` for s in `starts`, which
+    `read_blocks` has charged: a block is sliced when it is indexed or
+    iterated, and only blocks at these starts can be had."""
+
+    __slots__ = ("_data", "_starts", "_size")
+
+    def __init__(self, data: list[int], starts: Sequence[int], size: int):
+        self._data, self._starts, self._size = data, starts, size
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i: int) -> list[int]:  # type: ignore[override]
+        s = self._starts[i]  # a slice makes s a list, and the slice below raises TypeError
+        return self._data[s : s + self._size]
+
+
 class MeteredString:
     """Read-only character source that counts (and optionally logs) every access.
 
@@ -218,22 +236,28 @@ class MeteredString:
 
     def read_blocks(
         self, starts: Sequence[int], size: int, start: int = 0, length: Optional[int] = None
-    ) -> Iterator[list[int]]:
+    ) -> Sequence[list[int]]:
         """The blocks [s, s + size) for s in `starts`, in order, of the window
         [start, start + length) (default: the whole string), as in read_many.
 
-        A block outside the window raises IndexError. The call charges every
-        block (count, log and distinct positions) before it returns, and a
-        refused call charges nothing. The blocks are sliced only as the caller
-        iterates.
+        Starts are ints, as a slice takes them: a float or a str raises
+        TypeError. A block outside the window raises IndexError. The call
+        charges every block (count, log and distinct positions) before it
+        returns, and a refused call charges nothing. It returns the blocks as
+        a sequence that slices a block only when it is indexed or iterated, so
+        a caller that needs some of the charged blocks slices only those.
         """
         data = self._data
         if length is None:
             length = len(data)
+        # a float anywhere makes the sum a float, and a str makes it raise:
+        # one C-level pass, where a per-start operator.index costs 4x as much
+        operator.index(sum(starts))
         if size < 0 or (starts and (min(starts) < 0 or max(starts) + size > length)):
             raise IndexError(f"read_blocks of length {size} out of bounds [0, {length})")
-        if start:
-            starts = [start + s for s in starts]
+        # a copy, so that the blocks handed out are those charged here even if
+        # the caller's starts change later
+        starts = [start + s for s in starts] if start else list(starts)
         self.count += size * len(starts)
         if self._log is not None:
             log = self._log
@@ -243,13 +267,11 @@ class MeteredString:
             t, ones = self._touched, b"\x01" * size
             for s in starts:
                 t[s : s + size] = ones
-        # a generator expression, not a generator function, which would
-        # defer the charge above to the caller's first next()
-        return (data[s : s + size] for s in starts)
+        return _Blocks(data, starts, size)
 
     def read_range(self, start: int, length: int) -> list[int]:
         """The block [start, start + length): the one-start case of `read_blocks`."""
-        return next(self.read_blocks((start,), length))
+        return self.read_blocks((start,), length)[0]
 
     def distinct_count(self) -> int:
         if self._touched is None:

@@ -6,11 +6,14 @@ pattern is a pure function of (n, parameters, seed).
 
 The one-pair block reductions (single-level, multi-level) read each run of
 consecutive equal-length planned blocks with one call per string, x first,
-so every planned block is charged in full. An equal block pair is YES with
-no oracle call (ED = 0 <= beta), and each distinct unequal block goes to a
-pair oracle once per reduction call, its answer serving every repeat; the
-reduction tallies the pairs it settles itself, so the oracle-call tally
-still counts planned pairs:
+so every planned block is charged in full. Each distinct (start, length)
+block is settled once, by one slice and compare per string: an equal pair
+is YES with no oracle call (ED = 0 <= beta), and an unequal one goes to a
+pair oracle. The answer serves every repeat, with no slice or compare, for
+the rest of the reduction call, or across calls when the caller passes one
+`decided` memo to each (as `testers.one_sided_passes` does for its
+amplification passes). The reduction tallies the pairs it settles without
+the oracle, so the oracle-call tally still counts planned pairs:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from math import isqrt
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
 from .metering import RandomStream
@@ -58,6 +61,7 @@ class ParameterError(ValueError):
 GapOracle = Callable[[Sequence[int], Sequence[int], int, int, RandomStream], bool]
 BatchOracle = Callable[..., list[bool]]  # see the module docstring
 PlanOracle = Callable[..., list[list[bool]]]  # gap_to_shifted's; see the module docstring
+Decided = dict[int, dict[int, bool]]  # a block pair's answer by length, then start
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +234,37 @@ def _run_gap_calls(
     beta: int,
     oracle: GapOracle,
     rs: RandomStream,
+    decided: Optional[Decided] = None,
 ) -> ReductionOutcome:
     """Decide each planned (start, length) block pair, one run of equal-length blocks at a time.
 
-    Each run is read with one call per string, x first. An equal pair is YES
-    with no leaf call (ED = 0 <= beta), and each distinct unequal block goes
-    to the oracle once; the pairs settled here are tallied, so the tally
-    still counts planned pairs.
+    Each run is read with one call per string, x first, which charges every
+    planned block. A pair already in `decided` (by length, then start) is
+    settled by its stored answer, with no slice, compare or leaf call; any
+    other is sliced and compared, answers YES with no leaf call if equal
+    (ED = 0 <= beta), goes to the oracle if not, and is stored. Without
+    `decided` the answers are kept for this call alone. The pairs not sent to
+    the oracle are tallied here, so the tally still counts planned pairs.
     """
-    no_count = 0
-    decided: dict[tuple[int, int], bool] = {}
+    if decided is None:
+        decided = {}
+    no_count = leaf_calls = 0
     for length, run in groupby(plan, key=itemgetter(1)):
         starts = [start for start, _ in run]
         xs, ys = xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length)
-        for start, bx, by in zip(starts, xs, ys):
-            if bx == by:
-                continue
-            yes = decided.get((start, length))
+        known = decided.setdefault(length, {})
+        for i, start in enumerate(starts):
+            yes = known.get(start)
             if yes is None:
-                yes = decided[start, length] = oracle(bx, by, alpha, beta, rs)
+                bx, by = xs[i], ys[i]
+                if bx == by:
+                    yes = True
+                else:
+                    yes = oracle(bx, by, alpha, beta, rs)
+                    leaf_calls += 1
+                known[start] = yes
             no_count += not yes
-    _tally(len(plan) - len(decided))
+    _tally(len(plan) - leaf_calls)
     return ReductionOutcome(no_count == 0, no_count, len(plan))
 
 
@@ -278,12 +292,15 @@ def single_level_reduce(
     phi: int,
     oracle: GapOracle,
     rs: RandomStream,
+    decided: Optional[Decided] = None,
 ) -> ReductionOutcome:
     """One-level blocked reduction to a smaller-gap oracle.
 
     Requires alpha >= 3*phi >= 3*beta >= 3. YES iff all sampled block pairs
     answer YES; errs with probability <= 1/e on NO instances given a correct
-    oracle, and never on YES instances.
+    oracle, and never on YES instances. `decided` is the answer memo of
+    `_run_gap_calls`, which a caller shares between calls on the same
+    strings, thresholds and oracle.
     """
     n = len(xv)
     if len(yv) != n:
@@ -294,7 +311,7 @@ def single_level_reduce(
         )
     b, m, iters = single_level_plan(n, alpha, phi)
     plan = [(i * b, min(b, n - i * b)) for i in rs.uniform_indices(m, iters)]
-    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs)
+    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs, decided)
 
 
 def multilevel_reduce(
@@ -305,13 +322,14 @@ def multilevel_reduce(
     phi: int,
     oracle: GapOracle,
     rs: RandomStream,
+    decided: Optional[Decided] = None,
 ) -> ReductionOutcome:
     """Multi-level blocked reduction: sample every block length 2^p at one rate.
 
     Requires alpha >= 10*phi >= 10*beta >= 10. Levels run from ceil(log2 phi)
     to floor(log2(rho*n)) with rho = 10*phi/alpha; an empty level range
     returns YES (no evidence collected; such parameters are routed elsewhere
-    by the dispatch layer).
+    by the dispatch layer). `decided` is as in single_level_reduce.
     """
     n = len(xv)
     if len(yv) != n:
@@ -321,7 +339,7 @@ def multilevel_reduce(
             f"need alpha/10 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
     plan = _draw_blocks(n, multilevel_levels(n, alpha, phi), rs)
-    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs)
+    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs, decided)
 
 
 @dataclass(frozen=True)

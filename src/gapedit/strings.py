@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:  # importing this module loads no numpy
     import numpy as np
@@ -82,9 +82,10 @@ class View:
         """The whole view as a list, charged to the source."""
         return self.source.read_range(self.start, self.length)
 
-    def fetch_blocks(self, starts: Sequence[int], length: int) -> Iterator[list[int]]:
-        """The sub-ranges [s, s + length) for s in `starts`, charged to the
-        source when called and handed out in order as the caller iterates."""
+    def fetch_blocks(self, starts: Sequence[int], length: int) -> Sequence[list[int]]:
+        """The sub-ranges [s, s + length) for s in `starts`, all charged to
+        the source when called, as a sequence in their order that slices a
+        block only when it is indexed or iterated."""
         return self.source.read_blocks(starts, length, self.start, self.length)
 
 

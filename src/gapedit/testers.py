@@ -507,9 +507,13 @@ def one_sided_passes(
 ) -> bool:
     """YES iff all reps_any(delta) passes of a one-sided block reduction (at
     phi = beta, over exact_gap_oracle) answer YES. Every pass runs (a list,
-    not a generator), so the reads stay non-adaptive."""
-    reps = reps_any(delta)
-    return all([reduce(xv, yv, alpha, beta, beta, exact_gap_oracle, rs).yes for _ in range(reps)])
+    not a generator), so the reads stay non-adaptive. The passes share one
+    answer memo, so each distinct (start, length) block is settled once per
+    call, and a block a later pass repeats costs only its reads."""
+    reps, decided = reps_any(delta), {}
+    return all(
+        [reduce(xv, yv, alpha, beta, beta, exact_gap_oracle, rs, decided).yes for _ in range(reps)]
+    )
 
 
 def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:

@@ -83,11 +83,14 @@ def test_block_reads_charge_as_one_read_per_block():
                 single.count, single.log, single.distinct_count()
             )
             assert list(blocks) == expected
+            assert len(blocks) == len(starts)
+            assert [blocks[i] for i in range(len(starts))] == expected  # indexed, any number of times
             blocks = bulk.read_blocks([offset + s for s in starts], length)
             expected = [single.read_range(offset + s, length) for s in starts]
             assert (bulk.count, bulk.log, bulk.distinct_count()) == (
                 single.count, single.log, single.distinct_count()
             )
+            assert [blocks[i] for i in reversed(range(len(blocks)))] == expected[::-1]
             assert list(blocks) == expected
         # out of bounds: the source checks the view's window, or its own;
         # a refused call charges nothing
@@ -144,6 +147,26 @@ def test_read_many_takes_integer_positions_only():
     # integer types other than int64 are read as the ints they are
     assert View(ms, 4, 5).read_many(np.array([4, 0], dtype=np.int32)).tolist() == [8, 4]
     assert ms.read_many((np.uint64(3), True)).tolist() == [3, 1] and ms.log == [8, 4, 3, 1]
+
+
+def test_read_blocks_takes_integer_starts_only():
+    # a float or a str start is refused before anything is charged, as
+    # read_many refuses such positions; a float is never truncated
+    ms = MeteredString(list(range(16)), log=True, track_distinct=True)
+    for reader in (ms.read_blocks, View(ms, 4, 9).fetch_blocks):
+        for starts in ([1.5], [0, "3"], np.array([1.0]), [1, None], [2.5, -0.5]):
+            with pytest.raises(TypeError):
+                reader(starts, 2)
+    assert ms.count == 0 and ms.log == [] and ms.distinct_count() == 0
+    # integer types other than int are read as the ints they are
+    assert list(View(ms, 4, 9).fetch_blocks((np.int32(3), 0), 2)) == [[7, 8], [4, 5]]
+    assert ms.read_blocks((np.uint64(3), True), 1)[0] == [3] and ms.log == [7, 8, 4, 5, 3, 1]
+    # the blocks handed out are the ones charged, whatever the caller's
+    # starts list becomes afterwards
+    starts = [0]
+    blocks = ms.read_blocks(starts, 2)
+    starts[0] = 14
+    assert blocks[0] == [0, 1] and ms.log[-2:] == [0, 1]
 
 
 def test_symbols_beyond_int64_read_back_exactly():

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from gapedit import reductions
+from gapedit import reductions, testers
 from gapedit.intmath import ceil_div, ceil_log2
 from gapedit.metering import MeteredString, RandomStream
 from gapedit.reductions import (
@@ -31,6 +31,7 @@ from gapedit.reductions import (
     single_level_reduce,
 )
 from gapedit.strings import EXCEEDS, as_view, ed_exact, gap_ed_banded
+from gapedit.testers import one_sided_passes, reps_any
 
 
 def rand_list(seed, n, alphabet):
@@ -202,20 +203,25 @@ def single_level_blocks(n, alpha, phi, rs):
     return [(i * b, min(b, n - i * b)) for i in rs.uniform_indices(m, iters)]
 
 
+def leaf_instance(n):
+    """x's symbols are distinct, so a block's first symbol and length name it;
+    y substitutes fresh symbols: a cluster of 10 (NO at beta = 4 in any block
+    holding 5 of them) and singles, one in the short last blocks."""
+    x = list(range(n))
+    y = list(x)
+    for i in (*range(500, 510), 37, 260, 777, 999):
+        y[i] = n + i
+    return x, y
+
+
 @pytest.mark.parametrize(
     "reduce, alpha, blocks",
     # single level at alpha = 45: b = 267, so the fourth block is 199 long
     [(multilevel_reduce, 80, multilevel_blocks), (single_level_reduce, 45, single_level_blocks)],
 )
 def test_leaf_sees_each_distinct_unequal_block_once(reduce, alpha, blocks):
-    # x's symbols are distinct, so a block's first symbol and length name it;
-    # y substitutes fresh symbols: a cluster of 10 (NO at beta = 4 in any
-    # block holding 5 of them) and singles, one in the short last blocks
     n, beta = 1000, 4
-    x = list(range(n))
-    y = list(x)
-    for i in (*range(500, 510), 37, 260, 777, 999):
-        y[i] = n + i
+    x, y = leaf_instance(n)
     repeated = 0
     for seed in range(4):
         seen = []
@@ -243,6 +249,46 @@ def test_leaf_sees_each_distinct_unequal_block_once(reduce, alpha, blocks):
         assert set(seen) == {(s, l) for s, l in plan if x[s : s + l] != y[s : s + l]}
         repeated += len(plan) - len(set(plan))
     assert repeated > 0 and 0 < out.no_count < out.call_count
+
+
+@pytest.mark.parametrize(
+    "reduce, alpha, blocks",
+    [(multilevel_reduce, 80, multilevel_blocks), (single_level_reduce, 45, single_level_blocks)],
+)
+def test_amplification_passes_settle_each_distinct_block_once(monkeypatch, reduce, alpha, blocks):
+    # one_sided_passes shares one memo across its passes: a block that an
+    # earlier pass settled is charged again but never sliced, compared or
+    # sent to the leaf again
+    n, beta, delta = 1000, 4, 0.1
+    reps = reps_any(delta)
+    x, y = leaf_instance(n)
+    seen = []
+
+    def leaf(bx, by, *args):
+        seen.append((bx[0], len(bx)))
+        assert bx != by
+        return exact_gap_oracle(bx, by, *args)
+
+    monkeypatch.setattr(testers, "exact_gap_oracle", leaf)
+    across = 0
+    for seed in range(4):
+        seen.clear()
+        xm, ym = MeteredString(x), MeteredString(y)
+        with oracle_call_tally() as tally:
+            yes = one_sided_passes(reduce, xm.view(), ym.view(), alpha, beta, delta, RandomStream(seed))
+
+        rs = RandomStream(seed)
+        plans = [blocks(n, alpha, beta, rs) for _ in range(reps)]
+        planned = [block for plan in plans for block in plan]
+        unequal = {(s, l) for s, l in planned if x[s : s + l] != y[s : s + l]}
+        assert len(seen) == len(set(seen)) and set(seen) == unequal
+        assert tally[0] == len(planned) == reps * len(plans[0])
+        assert yes == all(
+            exact_gap_oracle(x[s : s + l], y[s : s + l], beta, beta, rs) for s, l in planned
+        )
+        assert xm.count == ym.count == sum(l for _, l in planned)
+        across += sum(len(unequal.intersection(plan)) for plan in plans) - len(unequal)
+    assert across > 0  # unequal blocks that more than one pass drew
 
 
 def test_oracle_call_tally_scopes():
