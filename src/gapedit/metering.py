@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,24 +69,29 @@ class RandomStream:
             if z < limit:
                 return z % m
 
-    def uniform_indices(self, m: int, count: int) -> list[int]:
-        """`count` draws of `uniform_index(m)` in one vectorized pass.
+    def uniform_indices(self, m: int, count: int, step: int = 1) -> list[int]:
+        """`count` draws of `step * uniform_index(m)` in one vectorized pass.
 
         Same values and same final state as the scalar calls: the accepted
         draws of each block are kept in order and the rejected ones are drawn
-        again from where the block ended.
+        again from where the block ended. A draw is scaled by `step` before
+        it leaves the array, so (m - 1) * step must stay below 2^64.
         """
         if m < 1:
             raise ValueError(f"uniform_indices needs m >= 1, got {m}")
         if m == 1:
             return [0] * count
+        if not (step >= 1 and (m - 1) * step < 1 << 64):
+            raise ValueError(f"uniform_indices needs 1 <= step < 2^64 / (m - 1), got {step}")
         if m & (m - 1) == 0:  # 2^64 is a multiple of m: nothing is rejected
-            return (self.u64_block(count) & np.uint64(m - 1)).tolist()
+            z = self.u64_block(count) & np.uint64(m - 1)
+            return (z * np.uint64(step) if step > 1 else z).tolist()
         limit = np.uint64((1 << 64) - ((1 << 64) % m))
         out: list[int] = []
         while len(out) < count:
             z = self.u64_block(count - len(out))
-            out += (z[z < limit] % np.uint64(m)).tolist()
+            z = z[z < limit] % np.uint64(m)
+            out += (z * np.uint64(step) if step > 1 else z).tolist()
         return out
 
     def child(self, label) -> "RandomStream":
@@ -140,22 +145,46 @@ def _int64_index(p) -> int:
     return i if -(1 << 63) <= i < 1 << 63 else -1
 
 
-class _Blocks(Sequence[list[int]]):
-    """The blocks [s, s + size) of `data` for s in `starts`, which
-    `read_blocks` has charged: a block is sliced when it is indexed or
-    iterated, and only blocks at these starts can be had."""
+class _Blocks:
+    """The blocks [s, s + size) of a window of `data`, at the starts that
+    `read_blocks` charged: reachable by start, and sliced only when taken."""
 
-    __slots__ = ("_data", "_starts", "_size")
+    __slots__ = ("_data", "_offset", "_size", "_starts")
 
-    def __init__(self, data: list[int], starts: Sequence[int], size: int):
-        self._data, self._starts, self._size = data, starts, size
+    def __init__(self, data: list[int], offset: int, size: int, starts: Sequence[int]):
+        self._data, self._offset, self._size = data, offset, size
+        # a copy, so that the blocks handed out are those charged even if the
+        # caller's starts change later
+        self._starts = frozenset(starts)
 
-    def __len__(self) -> int:
-        return len(self._starts)
+    def _check(self, starts: Sequence[int]) -> None:
+        if not self._starts.issuperset(starts):
+            unread = set(starts) - self._starts
+            raise KeyError(f"no block of length {self._size} was read at {sorted(unread)}")
 
-    def __getitem__(self, i: int) -> list[int]:  # type: ignore[override]
-        s = self._starts[i]  # a slice makes s a list, and the slice below raises TypeError
-        return self._data[s : s + self._size]
+    def take(self, starts: Sequence[int]) -> Iterator[list[int]]:
+        """The blocks at `starts` (window-relative, as charged), in that
+        order, each sliced when the iterator reaches it, so a caller that
+        drops each block in turn holds one at a time. A start that was not
+        charged raises KeyError here, before any is sliced."""
+        self._check(starts)
+        data, begin, end = self._data, self._offset, self._offset + self._size
+        return (data[begin + s : end + s] for s in starts)
+
+    def unequal(
+        self, other: "_Blocks", starts: Sequence[int]
+    ) -> Iterator[tuple[int, list[int], list[int]]]:
+        """(s, this block, other's block) for each s in `starts` at which the
+        two reads' blocks differ, in order. Each pair is sliced and compared
+        in turn, and an equal one is dropped at once. A start that either read
+        did not charge raises KeyError before any block is sliced."""
+        self._check(starts)
+        other._check(starts)
+        x, xb, y, yb, size = self._data, self._offset, other._data, other._offset, self._size
+        for s in starts:
+            bx, by = x[xb + s : xb + s + size], y[yb + s : yb + s + size]
+            if bx != by:
+                yield s, bx, by
 
 
 class MeteredString:
@@ -163,8 +192,9 @@ class MeteredString:
 
     ``read_many`` gathers from a numpy mirror of the symbols, built on its
     first call (``_mirror``: int64 unless a symbol is beyond int64). Distinct
-    positions are marked in the ``_touched`` bytearray, which ``read_many``
-    writes through one numpy view of it and ``read_blocks`` through slices.
+    positions are marked in the ``_touched`` bytearray with one numpy write
+    per call: ``read_many`` through a flat view of it, ``read_blocks``
+    through an overlapping view whose row s is the block [s, s + size).
     """
 
     __slots__ = ("_data", "count", "_log", "_touched", "_marks", "_array")
@@ -235,43 +265,50 @@ class MeteredString:
         return data[pos]
 
     def read_blocks(
-        self, starts: Sequence[int], size: int, start: int = 0, length: Optional[int] = None
-    ) -> Sequence[list[int]]:
-        """The blocks [s, s + size) for s in `starts`, in order, of the window
+        self,
+        starts: Sequence[int] | np.ndarray,
+        size: int,
+        start: int = 0,
+        length: Optional[int] = None,
+    ) -> _Blocks:
+        """The blocks [s, s + size) for s in `starts` of the window
         [start, start + length) (default: the whole string), as in read_many.
 
         Starts are ints, as a slice takes them: a float or a str raises
-        TypeError. A block outside the window raises IndexError. The call
-        charges every block (count, log and distinct positions) before it
-        returns, and a refused call charges nothing. It returns the blocks as
-        a sequence that slices a block only when it is indexed or iterated, so
-        a caller that needs some of the charged blocks slices only those.
+        TypeError, and an integer array is read as its ints. A block outside
+        the window raises IndexError. The call charges every block (count,
+        log in the order given, and distinct positions) before it returns,
+        and a refused call charges nothing. It returns the charged blocks
+        keyed by start, window-relative: a caller takes the ones it needs, and
+        only those are sliced.
         """
         data = self._data
         if length is None:
             length = len(data)
+        if isinstance(starts, np.ndarray):
+            starts = starts.tolist()  # ints, or floats that the check below refuses
         # a float anywhere makes the sum a float, and a str makes it raise:
         # one C-level pass, where a per-start operator.index costs 4x as much
         operator.index(sum(starts))
-        if size < 0 or (starts and (min(starts) < 0 or max(starts) + size > length)):
+        if size < 0 or (len(starts) and (min(starts) < 0 or max(starts) + size > length)):
             raise IndexError(f"read_blocks of length {size} out of bounds [0, {length})")
-        # a copy, so that the blocks handed out are those charged here even if
-        # the caller's starts change later
-        starts = [start + s for s in starts] if start else list(starts)
         self.count += size * len(starts)
         if self._log is not None:
             log = self._log
             for s in starts:
-                log.extend(range(s, s + size))
-        if self._touched is not None:
-            t, ones = self._touched, b"\x01" * size
-            for s in starts:
-                t[s : s + size] = ones
-        return _Blocks(data, starts, size)
+                log.extend(range(start + s, start + s + size))
+        if self._touched is not None and len(starts):
+            # row s of this view of the window is the block [s, s + size):
+            # one fancy-index write marks every block
+            rows = np.ndarray(
+                (length - size + 1, size), np.uint8, self._touched, start, (1, 1)
+            )
+            rows[np.fromiter(starts, np.intp, len(starts))] = 1
+        return _Blocks(data, start, size, starts)
 
     def read_range(self, start: int, length: int) -> list[int]:
         """The block [start, start + length): the one-start case of `read_blocks`."""
-        return self.read_blocks((start,), length)[0]
+        return next(self.read_blocks((start,), length).take((start,)))
 
     def distinct_count(self) -> int:
         if self._touched is None:

@@ -4,16 +4,20 @@ All reductions plan their oracle calls up front (level-major, iteration-minor)
 and execute every planned call: there is no short-circuiting, so the access
 pattern is a pure function of (n, parameters, seed).
 
-The one-pair block reductions (single-level, multi-level) read each run of
-consecutive equal-length planned blocks with one call per string, x first,
-so every planned block is charged in full. Each distinct (start, length)
-block is settled once, by one slice and compare per string: an equal pair
-is YES with no oracle call (ED = 0 <= beta), and an unequal one goes to a
-pair oracle. The answer serves every repeat, with no slice or compare, for
-the rest of the reduction call, or across calls when the caller passes one
-`decided` memo to each (as `testers.one_sided_passes` does for its
-amplification passes). The reduction tallies the pairs it settles without
-the oracle, so the oracle-call tally still counts planned pairs:
+The one-pair block reductions (single-level, multi-level) plan in runs: one
+draw per level gives that level's block starts as a (length, starts) run,
+split only where the level's short last tile is drawn. Each run is read
+with one call per string, x first, so every planned block is charged in
+full before any is sliced. The reads hand back the blocks keyed by start,
+unsliced. Of a run's distinct starts, only those with no stored answer
+are sliced and compared, one pair at a time, inside the meter: an equal
+pair is YES with no oracle call (ED = 0 <= beta), and an unequal one goes
+to a pair oracle. The answer serves every repeat, with no slice or
+compare, for the rest of the reduction call, or across calls when the
+caller passes one `decided` memo to each (as `testers.one_sided_passes`
+does for its amplification passes). The reduction tallies the pairs it
+settles without the oracle, so the oracle-call tally still counts planned
+pairs:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
@@ -44,9 +48,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import filterfalse, groupby, repeat
 from math import isqrt
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
@@ -62,6 +65,7 @@ GapOracle = Callable[[Sequence[int], Sequence[int], int, int, RandomStream], boo
 BatchOracle = Callable[..., list[bool]]  # see the module docstring
 PlanOracle = Callable[..., list[list[bool]]]  # gap_to_shifted's; see the module docstring
 Decided = dict[int, dict[int, bool]]  # a block pair's answer by length, then start
+Run = tuple[int, list[int]]  # (length, starts) of consecutive equal-length planned blocks
 
 
 # ---------------------------------------------------------------------------
@@ -229,59 +233,60 @@ def gap_to_shifted_levels(n: int, alpha: int, phi: int) -> list[tuple[int, int]]
 def _run_gap_calls(
     xv: View,
     yv: View,
-    plan: list[tuple[int, int]],
+    runs: list[Run],
     alpha: int,
     beta: int,
     oracle: GapOracle,
     rs: RandomStream,
     decided: Optional[Decided] = None,
 ) -> ReductionOutcome:
-    """Decide each planned (start, length) block pair, one run of equal-length blocks at a time.
+    """Decide each planned block pair, one (length, starts) run at a time.
 
     Each run is read with one call per string, x first, which charges every
-    planned block. A pair already in `decided` (by length, then start) is
-    settled by its stored answer, with no slice, compare or leaf call; any
-    other is sliced and compared, answers YES with no leaf call if equal
-    (ED = 0 <= beta), goes to the oracle if not, and is stored. Without
-    `decided` the answers are kept for this call alone. The pairs not sent to
-    the oracle are tallied here, so the tally still counts planned pairs.
+    planned block. Of the run's distinct starts, those not yet in `decided`
+    (answers by length, then start) are sliced and compared: an equal pair
+    is YES with no leaf call (ED = 0 <= beta), an unequal one goes to the
+    oracle, and both are stored. Every planned pair, repeats included, is
+    then settled by its stored answer. Without `decided` the answers are
+    kept for this call alone. The pairs not sent to the oracle are tallied
+    here, so the tally still counts planned pairs.
     """
     if decided is None:
         decided = {}
-    no_count = leaf_calls = 0
-    for length, run in groupby(plan, key=itemgetter(1)):
-        starts = [start for start, _ in run]
+    planned = no_count = leaf_calls = 0
+    for length, starts in runs:
         xs, ys = xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length)
         known = decided.setdefault(length, {})
-        for i, start in enumerate(starts):
-            yes = known.get(start)
-            if yes is None:
-                bx, by = xs[i], ys[i]
-                if bx == by:
-                    yes = True
-                else:
-                    yes = oracle(bx, by, alpha, beta, rs)
-                    leaf_calls += 1
-                known[start] = yes
-            no_count += not yes
-    _tally(len(plan) - leaf_calls)
-    return ReductionOutcome(no_count == 0, no_count, len(plan))
+        fresh = list(filterfalse(known.__contains__, dict.fromkeys(starts)))
+        known.update(zip(fresh, repeat(True)))
+        for start, bx, by in xs.unequal(ys, fresh):
+            known[start] = oracle(bx, by, alpha, beta, rs)
+            leaf_calls += 1
+        planned += len(starts)
+        no_count += len(starts) - sum(map(known.__getitem__, starts))
+    _tally(planned - leaf_calls)
+    return ReductionOutcome(no_count == 0, no_count, planned)
 
 
-def _draw_blocks(n: int, levels: list[tuple[int, int]], rs: RandomStream) -> list[tuple[int, int]]:
-    """Uniform (start, length) block choices, level-major, iteration-minor.
+def _tile_runs(n: int, size: int, count: int, rs: RandomStream) -> list[Run]:
+    """`count` uniform tiles [i * size, (i + 1) * size) of [0..n), from one
+    draw, in order, as runs of equal length. Only the last tile is shorter,
+    so a run is split only where that tile is drawn."""
+    starts = rs.uniform_indices(ceil_div(n, size), count, size)
+    short = n % size
+    if not short:
+        return [(size, starts)]
+    tail = n - short
+    return [(short if last else size, list(run)) for last, run in groupby(starts, tail.__eq__)]
+
+
+def _draw_runs(n: int, levels: list[tuple[int, int]], rs: RandomStream) -> list[Run]:
+    """Uniform block choices, level-major, iteration-minor, as runs.
 
     One vectorized draw per level. Level p tiles [0..n) with blocks of length
-    2^p, and only the tiles from n >> p on are shorter.
+    2^p, and only the tile from n >> p on is shorter.
     """
-    plan: list[tuple[int, int]] = []
-    for p, iters in levels:
-        size, full = 1 << p, n >> p
-        plan += [
-            (i << p, size if i < full else n - (i << p))
-            for i in rs.uniform_indices(ceil_div(n, size), iters)
-        ]
-    return plan
+    return [run for p, iters in levels for run in _tile_runs(n, 1 << p, iters, rs)]
 
 
 def single_level_reduce(
@@ -309,9 +314,9 @@ def single_level_reduce(
         raise ParameterError(
             f"need alpha/3 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
-    b, m, iters = single_level_plan(n, alpha, phi)
-    plan = [(i * b, min(b, n - i * b)) for i in rs.uniform_indices(m, iters)]
-    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs, decided)
+    b, _, iters = single_level_plan(n, alpha, phi)
+    runs = _tile_runs(n, b, iters, rs)
+    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs, decided)
 
 
 def multilevel_reduce(
@@ -338,8 +343,8 @@ def multilevel_reduce(
         raise ParameterError(
             f"need alpha/10 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
-    plan = _draw_blocks(n, multilevel_levels(n, alpha, phi), rs)
-    return _run_gap_calls(xv, yv, plan, phi, beta, oracle, rs, decided)
+    runs = _draw_runs(n, multilevel_levels(n, alpha, phi), rs)
+    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs, decided)
 
 
 @dataclass(frozen=True)
@@ -427,7 +432,8 @@ def gap_to_shifted(
             f"alpha={alpha} is too small for phi={phi} at n={n} "
             f"(raise alpha or lower phi)"
         )
-    plan = _draw_blocks(n, gap_to_shifted_levels(n, alpha, phi), rs)
+    runs = _draw_runs(n, gap_to_shifted_levels(n, alpha, phi), rs)
+    plan = [(start, length) for length, starts in runs for start in starts]
     no_counts = [0] * batch.q
     rows = oracle(batch, plan, phi, beta, psi, 1.0 / (2 * max(1, len(plan))), rs)
     assert len(rows) == len(plan), "the oracle answers one row per planned block"

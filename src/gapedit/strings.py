@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 if TYPE_CHECKING:  # importing this module loads no numpy
     import numpy as np
 
+    from .metering import _Blocks
+
 YES = "YES"
 NO = "NO"
 GAP = "GAP"
@@ -82,10 +84,10 @@ class View:
         """The whole view as a list, charged to the source."""
         return self.source.read_range(self.start, self.length)
 
-    def fetch_blocks(self, starts: Sequence[int], length: int) -> Sequence[list[int]]:
+    def fetch_blocks(self, starts: Sequence[int] | np.ndarray, length: int) -> _Blocks:
         """The sub-ranges [s, s + length) for s in `starts`, all charged to
-        the source when called, as a sequence in their order that slices a
-        block only when it is indexed or iterated."""
+        the source when called, keyed by start: ``take`` and ``unequal``
+        slice only the blocks asked for."""
         return self.source.read_blocks(starts, length, self.start, self.length)
 
 

@@ -82,23 +82,22 @@ def test_block_reads_charge_as_one_read_per_block():
             assert (bulk.count, bulk.log, bulk.distinct_count()) == (
                 single.count, single.log, single.distinct_count()
             )
-            assert list(blocks) == expected
-            assert len(blocks) == len(starts)
-            assert [blocks[i] for i in range(len(starts))] == expected  # indexed, any number of times
+            assert list(blocks.take(starts)) == expected
+            assert list(blocks.take(starts)) == expected  # taken any number of times
             blocks = bulk.read_blocks([offset + s for s in starts], length)
             expected = [single.read_range(offset + s, length) for s in starts]
             assert (bulk.count, bulk.log, bulk.distinct_count()) == (
                 single.count, single.log, single.distinct_count()
             )
-            assert [blocks[i] for i in reversed(range(len(blocks)))] == expected[::-1]
-            assert list(blocks) == expected
+            assert list(blocks.take([offset + s for s in reversed(starts)])) == expected[::-1]
+            assert list(blocks.take([])) == []
         # out of bounds: the source checks the view's window, or its own;
         # a refused call charges nothing
         charged = (bulk.count, list(bulk.log), bulk.distinct_count())
         for starts, length in (([0, 12], 8), ([-1], 2), ([0], -1)):
             with pytest.raises(IndexError, match=r"out of bounds \[0, 19\)"):
                 bulk_view.fetch_blocks(starts, length)
-        for starts, length in (([0, 29], 2), ([-1, 3], 1), ([], -1)):
+        for starts, length in (([0, 29], 2), ([-1, 3], 1), ([], -1), ([2**64, 0], 1)):
             with pytest.raises(IndexError, match=r"out of bounds \[0, 30\)"):
                 bulk.read_blocks(starts, length)
         assert (bulk.count, bulk.log, bulk.distinct_count()) == charged
@@ -159,14 +158,116 @@ def test_read_blocks_takes_integer_starts_only():
                 reader(starts, 2)
     assert ms.count == 0 and ms.log == [] and ms.distinct_count() == 0
     # integer types other than int are read as the ints they are
-    assert list(View(ms, 4, 9).fetch_blocks((np.int32(3), 0), 2)) == [[7, 8], [4, 5]]
-    assert ms.read_blocks((np.uint64(3), True), 1)[0] == [3] and ms.log == [7, 8, 4, 5, 3, 1]
+    assert list(View(ms, 4, 9).fetch_blocks((np.int32(3), 0), 2).take([3, 0])) == [[7, 8], [4, 5]]
+    assert list(ms.read_blocks((np.uint64(3), True), 1).take([3])) == [[3]]
+    assert ms.log == [7, 8, 4, 5, 3, 1]
     # the blocks handed out are the ones charged, whatever the caller's
     # starts list becomes afterwards
     starts = [0]
     blocks = ms.read_blocks(starts, 2)
     starts[0] = 14
-    assert blocks[0] == [0, 1] and ms.log[-2:] == [0, 1]
+    assert list(blocks.take([0])) == [[0, 1]] and ms.log[-2:] == [0, 1]
+    with pytest.raises(KeyError):
+        blocks.take([14])
+    with pytest.raises(KeyError):  # a start of another read is not handed out
+        blocks.take([0, 3])
+    assert ms.log[-2:] == [0, 1]
+
+
+def test_read_blocks_takes_integer_arrays():
+    # an integer array reads as the list of its ints, through a View with an
+    # offset too; a float array is refused before anything is charged
+    for offset in (0, 5):
+        by_list, by_array = (
+            MeteredString(range(100, 120), log=True, track_distinct=True) for _ in "ab"
+        )
+        listed = list(View(by_list, offset, 10).fetch_blocks([3, 0], 4).take([3, 0]))
+        arrayed = View(by_array, offset, 10).fetch_blocks(np.array([3, 0], dtype=np.int32), 4)
+        assert list(arrayed.take([3, 0])) == listed
+        assert listed == [
+            list(range(103 + offset, 107 + offset)), list(range(100 + offset, 104 + offset))
+        ]
+        assert (by_array.count, by_array.log, by_array.distinct_count()) == (
+            by_list.count, by_list.log, by_list.distinct_count()
+        )
+        with pytest.raises(TypeError):
+            View(by_array, offset, 10).fetch_blocks(np.array([3.0, 0.0]), 4)
+        with pytest.raises(IndexError):
+            View(by_array, offset, 10).fetch_blocks(np.array([7, 0], dtype=np.int64), 4)
+        assert (by_array.count, by_array.log, by_array.distinct_count()) == (8, by_list.log, 7)
+    assert list(MeteredString(range(4)).read_blocks(np.array([], dtype=np.int64), 2).take([])) == []
+
+
+def test_unequal_yields_the_charged_pairs_that_differ():
+    # x and y differ at 3 and 11 only; windows with different offsets pair
+    # their blocks by window-relative start
+    x = list(range(100, 120))
+    y = [v + 50 if i in (3, 11) else v for i, v in enumerate(x)]
+    xm, ym = MeteredString(x), MeteredString([0, 0, *y])
+    xv, yv = View(xm, 0, 20), View(ym, 2, 20)
+    starts = [8, 0, 12, 8, 2, 16]
+    xs, ys = xv.fetch_blocks(starts, 4), yv.fetch_blocks(starts, 4)
+    got = list(xs.unequal(ys, [12, 8, 0, 2, 16]))
+    assert got == [(8, x[8:12], y[8:12]), (0, x[0:4], y[0:4]), (2, x[2:6], y[2:6])]
+    assert list(xs.unequal(ys, [])) == [] and list(xs.unequal(ys, [12, 16])) == []
+    for other, bad in ((ys, [4]), (yv.fetch_blocks([0, 4], 4), [8])):
+        with pytest.raises(KeyError):  # a start one of the reads did not charge
+            next(xs.unequal(other, bad))
+
+
+def charged_positions(calls):
+    """The positions [o + s, o + s + size) of (offset o, starts, size) reads."""
+    return {o + s + i for o, starts, size in calls for s in starts for i in range(size)}
+
+
+def test_distinct_count_is_the_union_of_charged_positions():
+    # overlapping, repeated and zero-length blocks, a block that ends at the
+    # last position, reads through a View with an offset, and read_range and
+    # View.fetch, which are one-block reads
+    ms = MeteredString(range(40), track_distinct=True)
+    calls = []
+
+    def blocks(offset, starts, size, length=None):
+        length = 40 - offset if length is None else length
+        View(ms, offset, length).fetch_blocks(starts, size)
+        calls.append((offset, starts, size))
+        assert ms.distinct_count() == len(charged_positions(calls))
+
+    blocks(0, [0, 3, 5], 6)  # overlapping
+    blocks(0, [20, 20, 20], 2)  # repeated
+    blocks(0, [12, 40, 0], 0)  # zero length, one at the end of the string
+    blocks(0, [34, 33], 6)  # ends at the last position
+    blocks(7, [1, 12, 1], 3, length=20)  # through a View with an offset
+    blocks(25, [], 4)
+    assert ms.distinct_count() == 21
+    ms.read_range(14, 4)
+    calls.append((0, [14], 4))
+    View(ms, 30, 5).sub(1, 3).fetch()
+    calls.append((31, [0], 3))
+    assert ms.distinct_count() == len(charged_positions(calls)) == 27
+    empty = MeteredString([], track_distinct=True)
+    empty.read_blocks([0, 0], 0)
+    assert empty.view().fetch() == [] and empty.distinct_count() == 0
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 16), st.integers(0, 9), st.lists(st.integers(0, 1 << 10), max_size=6)
+        ),
+        max_size=6,
+    )
+)
+def test_distinct_count_is_the_union_of_random_block_reads(reads):
+    ms = MeteredString(range(24), track_distinct=True)
+    calls = []
+    for offset, size, raw in reads:
+        size = min(size, 24 - offset)
+        room = 24 - offset - size + 1  # the starts a block of this size can take
+        starts = [r % room for r in raw]
+        View(ms, offset, 24 - offset).fetch_blocks(starts, size)
+        calls.append((offset, starts, size))
+        assert ms.distinct_count() == len(charged_positions(calls))
 
 
 def test_symbols_beyond_int64_read_back_exactly():
@@ -232,6 +333,12 @@ def test_uniform_indices_match_scalar_draws(m, count):
     assert got == [b.uniform_index(m) for _ in range(count)]
     assert all(type(v) is int for v in got)
     assert a._state == b._state
+    # a step scales each draw: the starts of tiles of that length
+    if m == 1 or (m - 1) * 3 < 2**64:
+        assert RandomStream(31).uniform_indices(m, count, 3) == [3 * v for v in got]
+    else:
+        with pytest.raises(ValueError):
+            RandomStream(31).uniform_indices(m, count, 3)
     if m == 1:
         assert a._state == RandomStream(31)._state
 

@@ -1,13 +1,15 @@
 """Block reductions: planned arithmetic, verdict behavior, witness lemma."""
 
+import hashlib
 import random
 import threading
 
 import pytest
 
 from gapedit import reductions, testers
+from gapedit.harness import InstanceSpec, generate
 from gapedit.intmath import ceil_div, ceil_log2
-from gapedit.metering import MeteredString, RandomStream
+from gapedit.metering import MeteredString, RandomStream, certify_non_adaptive
 from gapedit.reductions import (
     Batch,
     ParameterError,
@@ -30,8 +32,8 @@ from gapedit.reductions import (
     single_level_plan,
     single_level_reduce,
 )
-from gapedit.strings import EXCEEDS, as_view, ed_exact, gap_ed_banded
-from gapedit.testers import one_sided_passes, reps_any
+from gapedit.strings import EXCEEDS, GapInstance, as_view, ed_exact, gap_ed_banded
+from gapedit.testers import TesterConfig, main_gap, one_sided_passes, reps_any
 
 
 def rand_list(seed, n, alphabet):
@@ -192,15 +194,29 @@ def test_oracle_call_tally():
     assert tally[0] == out.call_count + 4 + short.call_count == 13
 
 
+def tiles(n, size, indices):
+    """The tiles [i * size, (i + 1) * size) of [0, n) at `indices`, as
+    (start, length) blocks in order; only the last tile may be short."""
+    return [(i * size, min(size, n - i * size)) for i in indices]
+
+
+def multilevel_levels_blocks(n, alpha, phi, rs):
+    """The (start, length) blocks multilevel_reduce plans, one list per level."""
+    return [
+        tiles(n, 1 << p, rs.uniform_indices(ceil_div(n, 1 << p), iters))
+        for p, iters in multilevel_levels(n, alpha, phi)
+    ]
+
+
 def multilevel_blocks(n, alpha, phi, rs):
     """The (start, length) blocks multilevel_reduce plans, in order."""
-    return reductions._draw_blocks(n, multilevel_levels(n, alpha, phi), rs)
+    return [block for level in multilevel_levels_blocks(n, alpha, phi, rs) for block in level]
 
 
 def single_level_blocks(n, alpha, phi, rs):
     """The (start, length) blocks single_level_reduce plans, in order."""
     b, m, iters = single_level_plan(n, alpha, phi)
-    return [(i * b, min(b, n - i * b)) for i in rs.uniform_indices(m, iters)]
+    return tiles(n, b, rs.uniform_indices(m, iters))
 
 
 def leaf_instance(n):
@@ -289,6 +305,112 @@ def test_amplification_passes_settle_each_distinct_block_once(monkeypatch, reduc
         assert xm.count == ym.count == sum(l for _, l in planned)
         across += sum(len(unequal.intersection(plan)) for plan in plans) - len(unequal)
     assert across > 0  # unequal blocks that more than one pass drew
+
+
+def nonpower_instance(n):
+    """leaf_instance's edits, and one at the last position, in the short last tile."""
+    x = list(range(n))
+    y = list(x)
+    for i in (*range(500, 510), 37, 260, 777, n - 1):
+        y[i] = n + i
+    return x, y
+
+
+def short_tile_between_full_ones(blocks):
+    lengths = [length for _, length in blocks]
+    size = max(lengths)
+    return any(
+        lengths[j] < size == lengths[j - 1] == lengths[j + 1] for j in range(1, len(lengths) - 1)
+    )
+
+
+# (reduce, alpha, n, sha256 of the certified plan's repr, (yes, no_count,
+# call_count) of three passes sharing one memo, x reads, x distinct reads),
+# written by the code that grouped a flat plan into runs
+NON_POWER_OF_TWO_PINS = [
+    (multilevel_reduce, 80, 1000, "3ab30cce42694e77f940e2727515af16f2045818becc4b9e54a4ba3bfc374c19",
+     [(False, 3, 250), (False, 4, 250), (False, 4, 250)], 10556, 1000),
+    (multilevel_reduce, 80, 4097, "6a287b51b3f9efb8e116b4ce59af40a96e62b94a20366f463dbff13b84da910d",
+     [(False, 9, 1033), (False, 3, 1033), (False, 5, 1033)], 69140, 4097),
+    (multilevel_reduce, 80, 6000, "749edf35254b5ef1de412854732aeb6fa2543ce19871da5c753367ee6a7efabb",
+     [(False, 9, 1501), (False, 8, 1501), (False, 8, 1501)], 93680, 6000),
+    (single_level_reduce, 90, 1000, "4b258e8d327782d641e68b7b54dacd9c873375030be59fc1699318cca11ebe5e",
+     [(False, 6, 36), (False, 4, 36), (False, 3, 36)], 13176, 1000),
+    (single_level_reduce, 90, 4097, "e4b247686a8c6d451e977b38f23118054ef4ef0ba4357b855f8e03a58dfe4380",
+     [(False, 24, 147), (False, 21, 147), (False, 16, 147)], 224487, 4097),
+    (single_level_reduce, 90, 6000, "60bd48eed0eacddb98914bc1f6c52dc2ecbb37efb4e9bc1584072fef16ec6267",
+     [(False, 35, 214), (False, 24, 214), (False, 24, 214)], 477200, 6000),
+]
+
+
+@pytest.mark.parametrize(
+    "reduce, alpha, n, plan_digest, outcomes, reads, distinct",
+    NON_POWER_OF_TWO_PINS,
+    ids=[f"{pin[0].__name__}-{pin[2]}" for pin in NON_POWER_OF_TWO_PINS],
+)
+def test_non_power_of_two_n_pins_plans_and_outcomes(
+    reduce, alpha, n, plan_digest, outcomes, reads, distinct
+):
+    # a level's short last tile is drawn between full tiles, so a run of
+    # equal-length blocks is split there and resumes after it
+    beta, seed = 4, 0
+    if reduce is multilevel_reduce:
+        levels = multilevel_levels_blocks(n, alpha, beta, RandomStream(seed))
+    else:
+        levels = [single_level_blocks(n, alpha, beta, RandomStream(seed))]
+    assert any(map(short_tile_between_full_ones, levels))
+
+    def tester(xm, ym, rs):
+        reduce(xm.view(), ym.view(), alpha, beta, beta, exact_gap_oracle, rs)
+
+    cert = certify_non_adaptive(tester, n, seed)
+    assert cert.passed
+    assert hashlib.sha256(repr(cert.plan).encode()).hexdigest() == plan_digest
+    planned = [block for level in levels for block in level]
+    assert cert.plan[0] == cert.plan[1] == [i for s, l in planned for i in range(s, s + l)]
+
+    x, y = nonpower_instance(n)
+    xm, ym = MeteredString(x, track_distinct=True), MeteredString(y, track_distinct=True)
+    rs, decided = RandomStream(seed), {}
+    got = [
+        reduce(xm.view(), ym.view(), alpha, beta, beta, exact_gap_oracle, rs, decided)
+        for _ in range(3)
+    ]
+    assert [(o.yes, o.no_count, o.call_count) for o in got] == outcomes
+    assert (xm.count, xm.distinct_count()) == (ym.count, ym.distinct_count()) == (reads, distinct)
+
+
+# (side, seed, verdict, leaf calls, sha256 of the repr of the leaf calls'
+# (length, x block, y block) in call order) of one main_gap call at
+# (n, k, c) = (4096, 16, 2), written by the code that grouped a flat plan
+# into runs
+LEAF_CALL_PINS = [
+    ("yes", 0, True, 69, "7e463ca66bda8363f81165d467ef72ffeaecac598e0365dcac03235b98798ddc"),
+    ("yes", 1, True, 74, "7b6951f566f3e397b79cfd973f69edbe2b746d2d2f6339ebbfa06929b5613408"),
+    ("no", 0, False, 348, "001a7038b688a9d9c16aa9a325ae700b15fcbd4387875ba9100df6ecf7fb7e47"),
+    ("no", 1, False, 339, "44388edcedd9c282c33e8957377566931939d1c2f342412741da1d75ef189205"),
+]
+
+
+@pytest.mark.parametrize("side, seed, verdict, count, calls_digest", LEAF_CALL_PINS)
+def test_leaf_calls_per_main_gap_call_are_pinned(
+    monkeypatch, side, seed, verdict, count, calls_digest
+):
+    # the memo settles each distinct block once per main_gap call: the same
+    # blocks reach the leaf, in the same order, not just as many
+    spec = InstanceSpec("random-edits", 4096, 16, side=side, c=2.0)
+    x, y, _ = generate(spec, RandomStream(seed).child("gen"))
+    calls = []
+
+    def leaf(bx, by, *args):
+        calls.append((len(bx), bx, by))
+        return exact_gap_oracle(bx, by, *args)
+
+    monkeypatch.setattr(testers, "exact_gap_oracle", leaf)
+    inst = GapInstance(MeteredString(x).view(), MeteredString(y).view(), 256, 16)
+    assert main_gap(inst, TesterConfig(), RandomStream(seed).child("run")) is verdict
+    assert len(calls) == count
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == calls_digest
 
 
 def test_oracle_call_tally_scopes():
