@@ -84,11 +84,13 @@ def ladder_alpha(k: int, c: float) -> int:
     """The NO threshold alpha = int(k**c) of a (k, c) grid point.
 
     The power is a float power, as in every recorded CSV. A negative k, a
-    zero k with c < 0, and a k or k**c past the float range raise
+    NaN c, a zero k with c < 0, and a k or k**c past the float range raise
     UnsatisfiableSpecError, so the grid records an unsupported cell.
     """
     if k < 0:
         raise UnsatisfiableSpecError(f"alpha = k^c needs k >= 0, got k={k}")
+    if math.isnan(c):  # 1**nan is 1.0, any other k**nan fails int()
+        raise UnsatisfiableSpecError(f"alpha = k^c is undefined at c={c}")
     try:
         return int(k**c)
     except OverflowError:
@@ -335,6 +337,8 @@ def parse_config_text(text: str) -> GridConfig:
             raise ValueError(f"config line {ln}: {key!r} is set twice")
         try:
             if key in _AXIS_KEYS:
+                if not vals:
+                    raise ValueError(f"{key!r} takes one or more values, got 0")
                 fields[key] = tuple(_AXIS_KEYS[key](v) for v in vals)
             elif key in _SCALAR_KEYS:
                 if len(vals) != 1:

@@ -222,10 +222,6 @@ class MeteredString:
     def view(self) -> View:
         return View(self, 0, len(self._data))
 
-    def raw(self) -> list[int]:
-        """The underlying symbols, without charging the meter."""
-        return self._data
-
     def read(self, i: int) -> int:
         return int(self.read_many([i])[0])
 

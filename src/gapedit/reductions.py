@@ -2,11 +2,13 @@
 
 All reductions plan their oracle calls up front (level-major, iteration-minor)
 and execute every planned call: there is no short-circuiting, so the access
-pattern is a pure function of (n, parameters, seed).
+pattern is a pure function of (n, parameters, seed). A plan is a list of
+runs: one draw per level gives that level's block starts as a
+(length, starts) run, split only where the level's short last tile is
+drawn. A reduction answers with verdicts: a bool, or one bool per member
+of a batch.
 
-The one-pair block reductions (single-level, multi-level) plan in runs: one
-draw per level gives that level's block starts as a (length, starts) run,
-split only where the level's short last tile is drawn. Each run is read
+The one-pair block reductions (single-level, multi-level) read each run
 with one call per string, x first, so every planned block is charged in
 full before any is sliced. The reads hand back the blocks keyed by start,
 unsliced. Of a run's distinct starts, only those with no stored answer
@@ -23,16 +25,15 @@ pairs:
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
 
 The two reductions of the mutual recursion work on a `Batch` (q instances
-sharing one first string) and return one outcome per member. Each spreads
+sharing one first string) and return one verdict per member. Each spreads
 its error over the calls it plans, by a union bound, and hands every call
 its share as `delta`; the caller budgets nothing:
 
-- gap_to_shifted's oracle: fn(batch, plan, phi, beta, psi, delta, rs) ->
+- gap_to_shifted's oracle: fn(batch, runs, phi, beta, psi, delta, rs) ->
   list[list[bool]], one call per pass, at delta = 1/(2 * planned blocks).
-  The plan is the list of sampled (start, length) blocks, level-major; each
-  block stands for that window of the common string and of every member.
-  The answer holds one row per block, in plan order, with one bool per
-  member.
+  The runs are the pass's plan, level-major; each block stands for that
+  window of the common string and of every member. The answer holds one
+  row per planned block, in run order, with one bool per member.
 - shifted_to_gap's oracle: fn(sub, alpha, 3*gamma, delta, rs) -> list[bool],
   one call per x offset, where sub holds every (member, y offset) window,
   member-major. delta is the caller's, split over the grid:
@@ -94,15 +95,8 @@ def _tally(k: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reduction outcomes and batches
+# Batches
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReductionOutcome:
-    yes: bool
-    no_count: int
-    call_count: int
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,10 @@ def per_member(oracle: Callable[..., bool]) -> BatchOracle:
 
 
 def per_block(oracle: BatchOracle) -> PlanOracle:
-    """Lift a batch oracle to a plan oracle: one call per planned window, in order."""
-    return lambda batch, plan, *args: [oracle(batch.sub(s, l), *args) for s, l in plan]
+    """Lift a batch oracle to a plan oracle: one call per planned window, in run order."""
+    return lambda batch, runs, *args: [
+        oracle(batch.sub(s, length), *args) for length, starts in runs for s in starts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +151,11 @@ def exact_gap_oracle(
 
     A block is the symbol list a reduction fetched, so every read happens
     before the answer is known. Blocks no longer than beta
-    (ED <= max(|x|, |y|) <= beta) and equal blocks (ED = 0) need no DP.
+    (ED <= max(|x|, |y|) <= beta) need no DP. The reductions settle equal
+    blocks themselves; handed two, the DP answers after one common-prefix scan.
     """
     _tally()
-    if (len(bx) <= beta and len(by) <= beta) or bx == by:
+    if len(bx) <= beta and len(by) <= beta:
         return True
     return gap_ed_banded(bx, by, beta) is not EXCEEDS
 
@@ -239,33 +236,35 @@ def _run_gap_calls(
     oracle: GapOracle,
     rs: RandomStream,
     decided: Optional[Decided] = None,
-) -> ReductionOutcome:
-    """Decide each planned block pair, one (length, starts) run at a time.
+) -> bool:
+    """Decide the planned block pairs one (length, starts) run at a time; YES iff all are.
 
     Each run is read with one call per string, x first, which charges every
     planned block. Of the run's distinct starts, those not yet in `decided`
     (answers by length, then start) are sliced and compared: an equal pair
     is YES with no leaf call (ED = 0 <= beta), an unequal one goes to the
-    oracle, and both are stored. Every planned pair, repeats included, is
-    then settled by its stored answer. Without `decided` the answers are
-    kept for this call alone. The pairs not sent to the oracle are tallied
-    here, so the tally still counts planned pairs.
+    oracle, and both are stored. A run answers by its distinct starts, and
+    every run is read and settled whatever the runs before it answered.
+    Without `decided` the answers are kept for this call alone. The pairs
+    not sent to the oracle are tallied here, so the tally still counts
+    planned pairs.
     """
     if decided is None:
         decided = {}
-    planned = no_count = leaf_calls = 0
+    yes, planned, leaf_calls = True, 0, 0
     for length, starts in runs:
         xs, ys = xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length)
         known = decided.setdefault(length, {})
-        fresh = list(filterfalse(known.__contains__, dict.fromkeys(starts)))
+        distinct = dict.fromkeys(starts)
+        fresh = list(filterfalse(known.__contains__, distinct))
         known.update(zip(fresh, repeat(True)))
         for start, bx, by in xs.unequal(ys, fresh):
             known[start] = oracle(bx, by, alpha, beta, rs)
             leaf_calls += 1
         planned += len(starts)
-        no_count += len(starts) - sum(map(known.__getitem__, starts))
+        yes = yes and all(map(known.__getitem__, distinct))
     _tally(planned - leaf_calls)
-    return ReductionOutcome(no_count == 0, no_count, planned)
+    return yes
 
 
 def _tile_runs(n: int, size: int, count: int, rs: RandomStream) -> list[Run]:
@@ -298,7 +297,7 @@ def single_level_reduce(
     oracle: GapOracle,
     rs: RandomStream,
     decided: Optional[Decided] = None,
-) -> ReductionOutcome:
+) -> bool:
     """One-level blocked reduction to a smaller-gap oracle.
 
     Requires alpha >= 3*phi >= 3*beta >= 3. YES iff all sampled block pairs
@@ -328,7 +327,7 @@ def multilevel_reduce(
     oracle: GapOracle,
     rs: RandomStream,
     decided: Optional[Decided] = None,
-) -> ReductionOutcome:
+) -> bool:
     """Multi-level blocked reduction: sample every block length 2^p at one rate.
 
     Requires alpha >= 10*phi >= 10*beta >= 10. Levels run from ceil(log2 phi)
@@ -411,16 +410,16 @@ def gap_to_shifted(
     phi: int,
     oracle: PlanOracle,
     rs: RandomStream,
-) -> list[ReductionOutcome]:
+) -> list[bool]:
     """Reduce each gap instance of a batch to shifted-gap oracle calls on block pairs.
 
     Requires phi >= beta >= psi where psi = floor(112*beta*phi*ceil(log2 n)/alpha).
     Samples levels ceil(log2(3*phi)) .. floor(log2(rho*n)) at rate
     rho = 84*phi/alpha, drawing every block before the first oracle call; the
-    blocks are shared by the batch and go to the oracle in one call, at error
-    1/(2 * planned blocks) per block, and a member is YES iff at most 5 of
-    its blocks answered NO. With a correct oracle both error directions are
-    at most 1/e.
+    runs of blocks are shared by the batch and go to the oracle in one call,
+    at error 1/(2 * planned blocks) per block, and a member is YES iff at
+    most 5 of its blocks answered NO. With a correct oracle both error
+    directions are at most 1/e.
     """
     n = len(batch.x)
     if phi < 1 or phi < beta or beta < 0:
@@ -433,14 +432,14 @@ def gap_to_shifted(
             f"(raise alpha or lower phi)"
         )
     runs = _draw_runs(n, gap_to_shifted_levels(n, alpha, phi), rs)
-    plan = [(start, length) for length, starts in runs for start in starts]
+    planned = sum(len(starts) for _, starts in runs)
+    rows = oracle(batch, runs, phi, beta, psi, 1.0 / (2 * max(1, planned)), rs)
+    assert len(rows) == planned, "the oracle answers one row per planned block"
     no_counts = [0] * batch.q
-    rows = oracle(batch, plan, phi, beta, psi, 1.0 / (2 * max(1, len(plan))), rs)
-    assert len(rows) == len(plan), "the oracle answers one row per planned block"
     for row in rows:
         for j, yes in enumerate(row):
             no_counts[j] += not yes
-    return [ReductionOutcome(c <= 5, c, len(plan)) for c in no_counts]
+    return [c <= 5 for c in no_counts]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def shifted_to_gap(
     oracle: BatchOracle,
     delta: float,
     rs: RandomStream,
-) -> list[ReductionOutcome]:
+) -> list[bool]:
     """Deterministic reduction from shifted-gap instances to gap oracle calls.
 
     Requires alpha >= 3*gamma and 1+gamma <= spread <= 1+beta. Enumerates
@@ -494,8 +493,7 @@ def shifted_to_gap(
     if not 1 + gamma <= spread <= 1 + beta:
         raise ParameterError(f"need 1+gamma <= spread <= 1+beta, got spread={spread}")
     if n <= beta:  # degenerate: read everything and decide exactly
-        yes = [exact_shifted_oracle(batch.x, y, alpha, beta, gamma, delta, rs) for y in batch.ys]
-        return [ReductionOutcome(v, int(not v), 1) for v in yes]
+        return [exact_shifted_oracle(batch.x, y, alpha, beta, gamma, delta, rs) for y in batch.ys]
     xs, ys = shift_grid(beta, gamma, spread)
     n_calls = len(xs) * len(ys)
     assert n_calls * (1 + gamma) <= 16 * (1 + beta), "call-count bound violated"
@@ -513,4 +511,4 @@ def shifted_to_gap(
         answers = oracle(windows, alpha, 3 * gamma, delta_call, rs)
         for j in range(batch.q):
             yes_counts[j] += sum(answers[j * len(ys) : (j + 1) * len(ys)])
-    return [ReductionOutcome(c > 0, n_calls - c, n_calls) for c in yes_counts]
+    return [c > 0 for c in yes_counts]

@@ -3,8 +3,8 @@
 The stack, bottom to top:
 
 - ``equality_test``: the zero-gap sampler.
-- ``batched_shifted_h0``: shifted tester with gamma=0 on every planned
-  window of a batch, backed by a shared fingerprint sample per window,
+- ``batched_shifted_h0``: shifted tester with gamma=0 on every block of a
+  plan's runs over a batch, backed by a shared fingerprint sample per window,
   read as array gathers and matched against the common string's window
   fingerprints by exact broadcast equality.
 - ``batched_gap_h1`` / ``batched_shifted_h1`` / ``batched_gap_h2``: the
@@ -24,15 +24,16 @@ tier and the dispatch at an explicit depth refuse through ``admit``.
 
 Every tier of the mutual recursion runs the two batch reductions of
 ``reductions``, which hand each oracle call its share of the error budget
-as ``delta``. A batch gap tester ``(batch, alpha, beta, delta, rs)`` is
-``shifted_to_gap``'s oracle as written, so the h=1 and h=2 shifted paths,
-the baseline and main's reduce tier call ``shifted_to_gap`` directly with
-their own grid spread. ``_batched_gap_via_shifted`` is the one
-gap->shifted pass, which h1, h2, the baseline and main's recursion tier
-amplify with ``_majority_votes`` (h1 hands the whole plan of a pass to
-``batched_shifted_h0``; the others decide block by block through
-``per_block``). The one-instance testers join a batch through ``_each``,
-member by member.
+as ``delta`` and answer one verdict per batch member. A batch gap tester
+``(batch, alpha, beta, delta, rs)`` is ``shifted_to_gap``'s oracle as
+written, so the h=1 and h=2 shifted paths, the baseline and main's reduce
+tier call ``shifted_to_gap`` directly with their own grid spread.
+``_batched_gap_via_shifted`` is the one gap->shifted pass, which h1, h2,
+the baseline and main's recursion tier amplify with ``_majority_votes``.
+A pass's plan is a list of (length, starts) runs: h1 hands it to
+``batched_shifted_h0`` whole; the others decide block by block through
+``per_block``. A whole string is the one-block plan ``[(n, [0])]``. The
+one-instance testers join a batch through ``_each``, member by member.
 
 Testers never short-circuit across planned oracle calls or repetitions, so
 their read sequences depend only on (n, parameters, seed).
@@ -41,9 +42,7 @@ their read sequences depend only on (n, parameters, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
 from math import exp, isqrt, log
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +53,7 @@ from .reductions import (
     Batch,
     ParameterError,
     PlanOracle,
+    Run,
     _tally,
     exact_gap_oracle,
     exact_shifted_oracle,
@@ -190,7 +190,7 @@ def _h0_rows(
 
 def batched_shifted_h0(
     batch: Batch,
-    windows: Sequence[tuple[int, int]],
+    runs: Sequence[Run],
     alpha: int,
     beta: int,
     delta: float,
@@ -198,20 +198,21 @@ def batched_shifted_h0(
 ) -> list[list[bool]]:
     """Shifted gap tester with gamma = 0 on every window of a batch sharing the first string.
 
-    Each (start, length) window of the common string and of every member is
-    one instance; the answer holds one row per window, in order, with one
-    bool per member. A window builds the offset grid, shares one position
-    sample among its members, and answers a member YES iff one of its window
-    fingerprints equals one of the common string's. Each answer errs with
-    probability at most delta; exact window equality always answers YES. A
-    window no longer than beta is decided exactly by exact_shifted_oracle.
+    The plan is a list of (length, starts) runs, as gap_to_shifted draws it.
+    Each window [start, start + length) of the common string and of every
+    member is one instance; the answer holds one row per window, in run
+    order, with one bool per member. A window builds the offset grid, shares
+    one position sample among its members, and answers a member YES iff one
+    of its window fingerprints equals one of the common string's. Each
+    answer errs with probability at most delta; exact window equality always
+    answers YES. A window no longer than beta is decided exactly by
+    exact_shifted_oracle.
 
-    Consecutive windows of equal length form a run whose samples come from
-    one draw, cut into one chunk per window. The sampled windows between two
-    exact ones are read with one read_many per string. The draws, the tally
-    and, when the common string and the member read different sources
-    (q = 1), each source's read sequence equal those of deciding the windows
-    one at a time, in order.
+    A run's samples come from one draw, cut into one chunk per window. The
+    sampled windows between two exact ones are read with one read_many per
+    string. The draws, the tally and, when the common string and the member
+    read different sources (q = 1), each source's read sequence equal those
+    of deciding the windows one at a time, in order.
     """
     q = batch.q
     if beta < 0 or alpha < beta:
@@ -220,8 +221,7 @@ def batched_shifted_h0(
     calls = len(xs) * len(ys_off) * q
     rows: list[list[bool]] = []
     sampled: list[tuple[np.ndarray, np.ndarray]] = []  # runs drawn, not yet read
-    for length, run in groupby(windows, key=itemgetter(1)):
-        starts = [start for start, _ in run]
+    for length, starts in runs:
         if length <= beta:
             if sampled:
                 rows += _h0_rows(batch, sampled, xs, ys_off)
@@ -313,10 +313,10 @@ def _batched_gap_via_shifted(
 ) -> list[bool]:
     """One unamplified pass of the gap->shifted reduction over a whole batch.
 
-    The pass's whole plan of sampled blocks goes to shifted_fn in one call;
-    the block choices are shared across the batch, so sub-calls stay batched.
+    The pass's runs of sampled blocks go to shifted_fn in one call; the
+    block choices are shared across the batch, so sub-calls stay batched.
     """
-    return [out.yes for out in gap_to_shifted(batch, alpha, beta, phi, shifted_fn, rs)]
+    return gap_to_shifted(batch, alpha, beta, phi, shifted_fn, rs)
 
 
 def _majority_votes(
@@ -370,9 +370,9 @@ def batched_gap_h1(
         return batched_equality(batch, alpha, delta, rs)
     admit(n, alpha, beta, 1)
 
-    def shifted_fn(sub, plan, a, b, g, d, stream):
+    def shifted_fn(sub, runs, a, b, g, d, stream):
         assert g == 0, "the gate guarantees a zero shift threshold"
-        return batched_shifted_h0(sub, plan, a, b, d, stream)
+        return batched_shifted_h0(sub, runs, a, b, d, stream)
 
     return _majority_votes(batch, alpha, beta, beta, shifted_fn, delta, rs)
 
@@ -402,12 +402,11 @@ def batched_shifted_h1(
     if not (alpha >= beta >= gamma >= 0):
         raise ParameterError("need alpha >= beta >= gamma >= 0")
     if gamma == 0:
-        return batched_shifted_h0(batch, [(0, n)], alpha, beta, delta, rs)[0]
+        return batched_shifted_h0(batch, [(n, [0])], alpha, beta, delta, rs)[0]
     admit(n, alpha, 3 * gamma, 1)
     gbar, xi = h1_shifted_params(n, alpha, beta, batch.q)
     assert baseline_gap_gate(n, alpha, 3 * gbar, 1), "raised gamma keeps the h=1 gap gate valid"
-    outs = shifted_to_gap(batch, alpha, beta, gbar, 1 + xi, batched_gap_h1, delta, rs)
-    return [out.yes for out in outs]
+    return shifted_to_gap(batch, alpha, beta, gbar, 1 + xi, batched_gap_h1, delta, rs)
 
 
 def h2_phi(n: int, alpha: int, beta: int) -> int:
@@ -463,10 +462,9 @@ def baseline_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream)
     admit(inst.n, alpha, 3 * gamma, cfg.h)
     spread = shift_grid_spread(inst.beta, gamma)
     gap_fn = _each(baseline_gap, GapInstance, cfg)
-    [out] = shifted_to_gap(
+    return shifted_to_gap(
         single(inst.x, inst.y), alpha, inst.beta, gamma, spread, gap_fn, cfg.delta, rs
-    )
-    return out.yes
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,7 @@ def one_sided_passes(
     call, and a block a later pass repeats costs only its reads."""
     reps, decided = reps_any(delta), {}
     return all(
-        [reduce(xv, yv, alpha, beta, beta, exact_gap_oracle, rs, decided).yes for _ in range(reps)]
+        [reduce(xv, yv, alpha, beta, beta, exact_gap_oracle, rs, decided) for _ in range(reps)]
     )
 
 
@@ -557,7 +555,7 @@ def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> 
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
     tier = plan_shifted_dispatch(n, alpha, beta, gamma)
     if tier[0] == "h0":
-        [[yes]] = batched_shifted_h0(single(inst.x, inst.y), [(0, n)], alpha, beta, cfg.delta, rs)
+        [[yes]] = batched_shifted_h0(single(inst.x, inst.y), [(n, [0])], alpha, beta, cfg.delta, rs)
         return yes
     if tier[0] == "h1s":
         return batched_shifted_h1(
@@ -568,10 +566,9 @@ def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> 
     assert tier[0] == "reduce"
     gap_fn = _each(main_gap, GapInstance, replace(cfg, h=None))
     spread = shift_grid_spread(beta, gamma)
-    [out] = shifted_to_gap(
+    return shifted_to_gap(
         single(inst.x, inst.y), alpha, beta, gamma, spread, gap_fn, cfg.delta, rs
-    )
-    return out.yes
+    )[0]
 
 
 def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> bool:
@@ -580,7 +577,6 @@ def _shifted_s3(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> b
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
     assert baseline_gap_gate(n, alpha, 3 * gamma, 2), "s3 gate implies the h=2 gap gate for 3*gamma"
     spread = 1 + grid_xi(beta, gamma, 1)
-    [out] = shifted_to_gap(
+    return shifted_to_gap(
         single(inst.x, inst.y), alpha, beta, gamma, spread, batched_gap_h2, cfg.delta, rs
-    )
-    return out.yes
+    )[0]

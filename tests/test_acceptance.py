@@ -211,7 +211,7 @@ def _certify_grid():
 
     def h0(alpha, beta, q, delta):
         return lambda xm, ym, rs: batched_shifted_h0(
-            Batch(xm.view(), tuple(ym.view() for _ in range(q))), [(0, len(xm))], alpha, beta,
+            Batch(xm.view(), tuple(ym.view() for _ in range(q))), [(len(xm), [0])], alpha, beta,
             delta, rs,
         )[0]
 
@@ -284,20 +284,18 @@ def test_criterion_5_multilevel_error_rates():
             positions.add(rs.uniform_index(n))
         for i, pos in enumerate(sorted(positions)):
             y[pos] = (1 << 31) + i
-        out = multilevel_reduce(
+        false_yes += multilevel_reduce(
             as_view(x), as_view(y), alpha, phi, phi, exact_gap_oracle, RandomStream(t)
         )
-        false_yes += out.yes
     rate = false_yes / trials
     assert rate <= E_INV + 0.08
 
     false_no = 0
     for t in range(trials):
         x, y = _planted_yes(52_000 + t, n, phi)
-        out = multilevel_reduce(
+        false_no += not multilevel_reduce(
             as_view(x), as_view(y), alpha, phi, phi, exact_gap_oracle, RandomStream(t)
         )
-        false_no += not out.yes
     assert false_no == 0  # hereditary: YES instances never rejected
     _report(5, f"multilevel false-YES {rate:.3f} <= 1/e+0.08; YES error exactly 0")
 
@@ -308,24 +306,24 @@ def test_criterion_5_gap_to_shifted_error_rates():
     false_yes = 0
     for t in range(trials):
         x, y = _disjoint(60_000 + 2 * t, n)  # ED = n > alpha
-        [out] = gap_to_shifted(
+        [yes] = gap_to_shifted(
             single(as_view(x), as_view(y)), alpha, beta, beta,
             per_block(per_member(exact_shifted_oracle)),
             RandomStream(t),
         )
-        false_yes += out.yes
+        false_yes += yes
     no_rate = false_yes / trials
     assert no_rate <= E_INV + 0.08
 
     false_no = 0
     for t in range(trials):
         x, y = _planted_yes(62_000 + t, n, beta)
-        [out] = gap_to_shifted(
+        [yes] = gap_to_shifted(
             single(as_view(x), as_view(y)), alpha, beta, beta,
             per_block(per_member(exact_shifted_oracle)),
             RandomStream(t),
         )
-        false_no += not out.yes
+        false_no += not yes
     yes_rate = false_no / trials
     assert yes_rate <= E_INV + 0.08
     _report(
@@ -406,14 +404,14 @@ def test_criterion_8_batched_common_string_reads():
 
     xm = MeteredString(x)
     batch = Batch(xm.view(), tuple(as_view(y) for y in ys))
-    batched_shifted_h0(batch, [(0, n)], alpha, beta, delta, RandomStream(1))
+    batched_shifted_h0(batch, [(n, [0])], alpha, beta, delta, RandomStream(1))
     batched_reads = xm.count
 
     single_reads = 0
     for rep in range(2):
         xm1 = MeteredString(x)
         batched_shifted_h0(
-            Batch(xm1.view(), (as_view(ys[rep]),)), [(0, n)], alpha, beta, delta,
+            Batch(xm1.view(), (as_view(ys[rep]),)), [(n, [0])], alpha, beta, delta,
             RandomStream(2 + rep),
         )
         single_reads += xm1.count

@@ -411,6 +411,8 @@ def test_grid_config_rejects_unknown_names(axis, words):
         ("n = 1024\nn = 2048", 2, "'n' is set twice"),
         ("trials = ten", 1, "invalid literal"),
         ("alphabet = 4", 1, "unknown key 'alphabet'"),
+        ("n =", 1, "'n' takes one or more values, got 0"),
+        ("k = 4\ntester = ,", 2, "'tester' takes one or more values, got 0"),
     ],
 )
 def test_parse_config_rejects_bad_lines(text, line, words):
@@ -654,6 +656,8 @@ def test_cli_alpha_past_float_range_is_an_unsupported_cell(tmp_path, capsys):
     [
         pytest.param("-2", "1.5", "alpha = k^c needs k >= 0", id="negative-k"),
         pytest.param("0", "-1", "alpha = k^c is undefined at k=0", id="zero-k-negative-c"),
+        pytest.param("16", "nan", "alpha = k^c is undefined at c=nan", id="nan-c"),
+        pytest.param("1", "nan", "alpha = k^c is undefined at c=nan", id="unit-k-nan-c"),
     ],
 )
 def test_cli_alpha_without_a_value_is_an_unsupported_cell(tmp_path, capsys, k, c, reason):

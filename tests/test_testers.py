@@ -127,7 +127,7 @@ def test_h0_identical_batch_all_yes():
     x = rand_sym(3, 256)
     batch = Batch(as_view(x), tuple(as_view(list(x)) for _ in range(6)))
     for seed in range(5):
-        [row] = batched_shifted_h0(batch, [(0, 256)], 32, 8, 0.1, RandomStream(seed))
+        [row] = batched_shifted_h0(batch, [(256, [0])], 32, 8, 0.1, RandomStream(seed))
         assert row == [True] * 6
 
 
@@ -136,7 +136,7 @@ def test_h0_rotation_yes():
     y = x[-3:] + x[:-3]
     for seed in range(20):
         assert batched_shifted_h0(
-            single(as_view(x), as_view(y)), [(0, 256)], 16, 4, 0.1, RandomStream(seed)
+            single(as_view(x), as_view(y)), [(256, [0])], 16, 4, 0.1, RandomStream(seed)
         )[0][0]
 
 
@@ -147,7 +147,7 @@ def test_h0_planted_no_rate():
     for t in range(trials):
         x, y = disjoint(2 * t, n)
         if batched_shifted_h0(
-            single(as_view(x), as_view(y)), [(0, n)], alpha, beta, delta, RandomStream(t)
+            single(as_view(x), as_view(y)), [(n, [0])], alpha, beta, delta, RandomStream(t)
         )[0][0]:
             wrong += 1
     assert 1 - wrong / trials >= 1 - delta - 0.05
@@ -159,14 +159,14 @@ def test_h0_mixed_batch():
     y_rot = x[-2:] + x[:-2]
     _, y_no = disjoint(50, 256)
     batch = Batch(as_view(x), (as_view(y_eq), as_view(y_rot), as_view(y_no)))
-    [got] = batched_shifted_h0(batch, [(0, 256)], 16, 4, 0.05, RandomStream(8))
+    [got] = batched_shifted_h0(batch, [(256, [0])], 16, 4, 0.05, RandomStream(8))
     assert got[0] and got[1] and not got[2]
 
 
 def test_h0_degenerate_short():
     x = as_view([1, 2, 3])
     [out] = batched_shifted_h0(
-        Batch(x, (as_view([7, 8, 9]),)), [(0, 3)], 12, 4, 0.1, RandomStream(1)
+        Batch(x, (as_view([7, 8, 9]),)), [(3, [0])], 12, 4, 0.1, RandomStream(1)
     )
     assert out == [True]  # shift budget >= n empties the windows
 
@@ -182,11 +182,11 @@ def test_h0_batched_vs_unbatched_pipeline_rates():
             assert b == 0
             return equality_test(av, bv, a, delta / 32, stream)
 
-        [out] = shifted_to_gap(
+        [yes] = shifted_to_gap(
             single(xv, yv), alpha, beta, 0, shift_grid_spread(beta, 0), per_member(leaf), delta,
             rs,
         )
-        return out.yes
+        return yes
 
     for make_pair, expect in (
         (lambda t: (list(range(t, t + n)), list(range(t + n - 5, t + n)) + list(range(t, t + n - 5))), True),
@@ -197,7 +197,7 @@ def test_h0_batched_vs_unbatched_pipeline_rates():
         for t in range(trials):
             x, y = make_pair(t)
             h0_yes += batched_shifted_h0(
-                single(as_view(x), as_view(y)), [(0, n)], alpha, beta, delta, RandomStream(t)
+                single(as_view(x), as_view(y)), [(n, [0])], alpha, beta, delta, RandomStream(t)
             )[0][0]
             pipe_yes += pipeline(as_view(x), as_view(y), RandomStream(t))
         assert abs(h0_yes - pipe_yes) / trials <= 0.07
@@ -227,21 +227,21 @@ def _h0_one_window(batch, alpha, beta, delta, rs):
 
 
 def _h0_pass(plan_fn, make_batch, alpha, beta, phi, delta, seed):
-    """(plan, rows, tally, final stream state, strings) of one gap->shifted pass
-    whose blocks are decided by plan_fn."""
+    """(runs, rows, tally, final stream state, strings) of one gap->shifted
+    pass whose blocks are decided by plan_fn."""
     batch, strings = make_batch()
     rs = RandomStream(seed)
     seen = []
 
-    def oracle(sub, plan, a, b, g, d, stream):
-        rows = plan_fn(sub, plan, a, b, delta, stream)
-        seen.append((plan, rows))
+    def oracle(sub, runs, a, b, g, d, stream):
+        rows = plan_fn(sub, runs, a, b, delta, stream)
+        seen.append((runs, rows))
         return rows
 
     with oracle_call_tally() as box:
         gap_to_shifted(batch, alpha, beta, phi, oracle, rs)
-    [(plan, rows)] = seen
-    return plan, rows, box[0], rs._state, strings
+    [(runs, rows)] = seen
+    return runs, rows, box[0], rs._state, strings
 
 
 def _h0_contents(n):
@@ -275,9 +275,10 @@ def test_h0_plan_rows_match_window_by_window(q):
         got = _h0_pass(batched_shifted_h0, make_batch, alpha, beta, phi, delta, seed)
         want = _h0_pass(per_block(_h0_one_window), make_batch, alpha, beta, phi, delta, seed)
         assert got[:4] == want[:4]
-        plan, rows = got[0], got[1]
-        assert len(rows) == len(plan) and all(len(row) == q for row in rows)
-        exact_windows += sum(length <= beta for _, length in plan)
+        runs, rows = got[0], got[1]
+        assert len(rows) == sum(len(starts) for _, starts in runs)
+        assert all(len(row) == q for row in rows)
+        exact_windows += sum(len(starts) for length, starts in runs if length <= beta)
         for new, old in zip(got[4], want[4]):
             assert new.count == old.count
             if q == 1:
@@ -287,29 +288,59 @@ def test_h0_plan_rows_match_window_by_window(q):
 
 def test_h0_hand_made_windows_match_window_by_window():
     # equal lengths apart are separate runs; windows of length 9 and 1 are
-    # exact, and a length-10 window has a one-position sample space
-    windows = [
-        (0, 32), (32, 32), (990, 11), (5, 9), (0, 1), (991, 10), (100, 64), (200, 64), (300, 32)
+    # exact, and a length-10 window has a one-position sample space. The
+    # second plan splits equal lengths into adjacent runs; the third merges
+    # them, and both draw, read and answer alike.
+    plans = [
+        [(32, [0, 32]), (11, [990]), (9, [5]), (1, [0]), (10, [991]), (64, [100, 200]), (32, [300])],
+        [(32, [0]), (32, [32, 64]), (9, [5]), (9, [100]), (64, [100]), (64, [200, 0])],
+        [(32, [0, 32, 64]), (9, [5, 100]), (64, [100, 200, 0])],
     ]
     x, ys = _h0_contents(1001)
     # moving the nonzero symbols past int64 keeps every equality, so every row
     by_base = {}
     for base in (0, 2**63, 2**64 + 5):
-        for q in (1, 2):
-            results = []
-            for plan_fn in (batched_shifted_h0, per_block(_h0_one_window)):
-                xm = MeteredString([v and base + v for v in x], log=True)
-                yms = [MeteredString([v and base + v for v in y], log=True) for y in ys[:q]]
-                batch = Batch(xm.view(), tuple(ym.view() for ym in yms))
-                rs = RandomStream(3)
-                with oracle_call_tally() as box:
-                    rows = plan_fn(batch, windows, 9, 9, 0.1, rs)
-                results.append((rows, box[0], rs._state, xm.log, [ym.log for ym in yms]))
-            assert results[0] == results[1]
-            assert [row[0] for row in results[0][0][3:5]] == [True, True]  # ED <= length <= beta
-            by_base.setdefault(q, []).append(results[0])
+        for p, runs in enumerate(plans):
+            for q in (1, 2):
+                results = []
+                for plan_fn in (batched_shifted_h0, per_block(_h0_one_window)):
+                    xm = MeteredString([v and base + v for v in x], log=True)
+                    yms = [MeteredString([v and base + v for v in y], log=True) for y in ys[:q]]
+                    batch = Batch(xm.view(), tuple(ym.view() for ym in yms))
+                    rs = RandomStream(3)
+                    with oracle_call_tally() as box:
+                        rows = plan_fn(batch, runs, 9, 9, 0.1, rs)
+                    results.append((rows, box[0], rs._state, xm.log, [ym.log for ym in yms]))
+                assert results[0] == results[1]
+                # rows 3 and 4 are length 9 or 1: ED <= length <= beta
+                assert [row[0] for row in results[0][0][3:5]] == [True, True]
+                by_base.setdefault((p, q), []).append(results[0])
     for runs in by_base.values():
         assert runs[0] == runs[1] == runs[2]
+    for q in (1, 2):
+        assert by_base[1, q] == by_base[2, q]
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta, phi",
+    # level 11's short tail at n = 3072 is 1024 long, level 10's length, and
+    # level 6's at n = 480 is 32 long, level 5's
+    [(3072, 1386, 0, 11), (480, 505, 1, 1)],
+)
+def test_h0_pass_where_a_short_tail_continues_the_last_level(n, alpha, beta, phi):
+    # the tail drawn first at its level makes two adjacent runs of one length
+    x, ys = _h0_contents(n)
+
+    def make_batch():
+        xm, ym = MeteredString(x, log=True), MeteredString(ys[0], log=True)
+        return single(xm.view(), ym.view()), (xm, ym)
+
+    got = _h0_pass(batched_shifted_h0, make_batch, alpha, beta, phi, 0.1, 0)
+    want = _h0_pass(per_block(_h0_one_window), make_batch, alpha, beta, phi, 0.1, 0)
+    runs = got[0]
+    assert any(a[0] == b[0] for a, b in zip(runs, runs[1:]))
+    assert got[:4] == want[:4]
+    assert [(m.count, m.log) for m in got[4]] == [(m.count, m.log) for m in want[4]]
 
 
 def test_h0_rejects_bad_thresholds_before_any_read():
@@ -317,7 +348,7 @@ def test_h0_rejects_bad_thresholds_before_any_read():
     batch = single(xm.view(), xm.view())
     for alpha, beta in ((3, 4), (4, -1)):
         with pytest.raises(ParameterError):
-            batched_shifted_h0(batch, [(0, 4)], alpha, beta, 0.1, RandomStream(1))
+            batched_shifted_h0(batch, [(4, [0])], alpha, beta, 0.1, RandomStream(1))
     assert xm.count == 0
 
 
@@ -419,7 +450,7 @@ def test_h1_shifted_zero_gamma_delegates_bitwise():
         xm, ym = MeteredString(x, log=True), MeteredString(y, log=True)
         batch = single(xm.view(), ym.view())
         if call_h0:
-            batched_shifted_h0(batch, [(0, n)], 64, 8, 0.1, RandomStream(5))
+            batched_shifted_h0(batch, [(n, [0])], 64, 8, 0.1, RandomStream(5))
         else:
             batched_shifted_h1(batch, 64, 8, 0, 0.1, RandomStream(5))
         plans.append((tuple(xm.log), tuple(ym.log)))
