@@ -1,24 +1,25 @@
 """Randomized reductions from gap problems to oracle calls on block pairs.
 
 All reductions plan their oracle calls up front (level-major, iteration-minor)
-and execute every planned call: there is no short-circuiting, so the access
-pattern is a pure function of (n, parameters, seed). A plan is a list of
-runs: one draw per level gives that level's block starts as a
-(length, starts) run, split only where the level's short last tile is
-drawn. A reduction answers with verdicts: a bool, or one bool per member
-of a batch.
+and read every planned block whatever the answers, so the positions read are
+a pure function of (n, parameters, seed). Deciding may stop once the verdict
+is fixed. A plan is a list of runs: one draw per level gives that level's
+block starts as a (length, starts) run, split only where the level's short
+last tile is drawn. A reduction answers with verdicts: a bool, or one bool
+per member of a batch.
 
-The one-pair block reductions (single-level, multi-level) read each run
-with one call per string, x first, so every planned block is charged in
-full before any is sliced. The reads hand back the blocks keyed by start,
-unsliced. Of a run's distinct starts, only those with no stored answer
-are sliced and compared, one pair at a time, inside the meter: an equal
-pair is YES with no oracle call (ED = 0 <= beta), and an unequal one goes
-to a pair oracle. The answer serves every repeat, with no slice or
-compare, for the rest of the reduction call, or across calls when the
-caller passes one `decided` memo to each (as `testers.one_sided_passes`
-does for its amplification passes). The reduction tallies the pairs it
-settles without the oracle, so the oracle-call tally still counts planned
+The one-pair block reductions (single-level, multi-level) read first and
+decide second. Each run is read with one call per string, x first, in plan
+order, so every planned block is charged in full before any is sliced; the
+reads hand back the blocks keyed by start, unsliced. Then the runs are
+decided longest first, and of a run's distinct starts only those that no
+earlier run of that length settled are sliced and compared, one pair at a
+time, inside the meter: an equal pair is YES with no oracle call
+(ED = 0 <= beta), and an unequal one goes to a pair oracle. The first NO
+fixes the verdict, so no block after it is decided. A caller amplifies by
+the pass count: that many plans are drawn back to back and decided as one
+(as `testers.one_sided_passes` does). The reduction tallies the planned
+pairs the oracle did not see, so the oracle-call tally still counts planned
 pairs:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
@@ -49,9 +50,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import filterfalse, groupby, repeat
+from itertools import filterfalse, groupby
 from math import isqrt
-from typing import Callable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
 from .metering import RandomStream
@@ -65,7 +67,6 @@ class ParameterError(ValueError):
 GapOracle = Callable[[Sequence[int], Sequence[int], int, int, RandomStream], bool]
 BatchOracle = Callable[..., list[bool]]  # see the module docstring
 PlanOracle = Callable[..., list[list[bool]]]  # gap_to_shifted's; see the module docstring
-Decided = dict[int, dict[int, bool]]  # a block pair's answer by length, then start
 Run = tuple[int, list[int]]  # (length, starts) of consecutive equal-length planned blocks
 
 
@@ -235,36 +236,37 @@ def _run_gap_calls(
     beta: int,
     oracle: GapOracle,
     rs: RandomStream,
-    decided: Optional[Decided] = None,
 ) -> bool:
-    """Decide the planned block pairs one (length, starts) run at a time; YES iff all are.
+    """Read every planned block pair, then decide them; YES iff all are.
 
-    Each run is read with one call per string, x first, which charges every
-    planned block. Of the run's distinct starts, those not yet in `decided`
-    (answers by length, then start) are sliced and compared: an equal pair
-    is YES with no leaf call (ED = 0 <= beta), an unequal one goes to the
-    oracle, and both are stored. A run answers by its distinct starts, and
-    every run is read and settled whatever the runs before it answered.
-    Without `decided` the answers are kept for this call alone. The pairs
+    Read: each run is read with one call per string, x first, in plan order,
+    which charges every planned block before any is decided. Decide: the
+    runs go longest first (plan order among equal lengths). Of a run's
+    distinct starts, those that no earlier run of that length settled are
+    sliced and compared: an equal pair is YES with no leaf call
+    (ED = 0 <= beta), an unequal one goes to the oracle, and the first NO is
+    the verdict, with no block decided after it. Long blocks go first: on a
+    NO instance they are the likeliest to hold more than beta edits, while
+    each short unequal block that passes still costs a banded DP. The pairs
     not sent to the oracle are tallied here, so the tally still counts
     planned pairs.
     """
-    if decided is None:
-        decided = {}
-    yes, planned, leaf_calls = True, 0, 0
-    for length, starts in runs:
-        xs, ys = xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length)
-        known = decided.setdefault(length, {})
-        distinct = dict.fromkeys(starts)
-        fresh = list(filterfalse(known.__contains__, distinct))
-        known.update(zip(fresh, repeat(True)))
-        for start, bx, by in xs.unequal(ys, fresh):
-            known[start] = oracle(bx, by, alpha, beta, rs)
+    read = [
+        (length, starts, xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length))
+        for length, starts in runs
+    ]
+    planned, leaf_calls, settled = sum(len(starts) for _, starts in runs), 0, {}
+    for length, starts, xs, ys in sorted(read, key=itemgetter(0), reverse=True):
+        done = settled.setdefault(length, set())
+        fresh = list(filterfalse(done.__contains__, dict.fromkeys(starts)))
+        done.update(fresh)
+        for _, bx, by in xs.unequal(ys, fresh):
             leaf_calls += 1
-        planned += len(starts)
-        yes = yes and all(map(known.__getitem__, distinct))
+            if not oracle(bx, by, alpha, beta, rs):
+                _tally(planned - leaf_calls)
+                return False
     _tally(planned - leaf_calls)
-    return yes
+    return True
 
 
 def _tile_runs(n: int, size: int, count: int, rs: RandomStream) -> list[Run]:
@@ -296,15 +298,15 @@ def single_level_reduce(
     phi: int,
     oracle: GapOracle,
     rs: RandomStream,
-    decided: Optional[Decided] = None,
+    passes: int = 1,
 ) -> bool:
     """One-level blocked reduction to a smaller-gap oracle.
 
     Requires alpha >= 3*phi >= 3*beta >= 3. YES iff all sampled block pairs
-    answer YES; errs with probability <= 1/e on NO instances given a correct
-    oracle, and never on YES instances. `decided` is the answer memo of
-    `_run_gap_calls`, which a caller shares between calls on the same
-    strings, thresholds and oracle.
+    of `passes` independent plans, drawn back to back, answer YES; a pass
+    errs with probability <= 1/e on NO instances given a correct oracle, and
+    none errs on YES instances, since an aligned block pair of equal-length
+    strings is never farther apart than the strings.
     """
     n = len(xv)
     if len(yv) != n:
@@ -314,8 +316,8 @@ def single_level_reduce(
             f"need alpha/3 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
     b, _, iters = single_level_plan(n, alpha, phi)
-    runs = _tile_runs(n, b, iters, rs)
-    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs, decided)
+    runs = [run for _ in range(passes) for run in _tile_runs(n, b, iters, rs)]
+    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs)
 
 
 def multilevel_reduce(
@@ -326,14 +328,14 @@ def multilevel_reduce(
     phi: int,
     oracle: GapOracle,
     rs: RandomStream,
-    decided: Optional[Decided] = None,
+    passes: int = 1,
 ) -> bool:
     """Multi-level blocked reduction: sample every block length 2^p at one rate.
 
     Requires alpha >= 10*phi >= 10*beta >= 10. Levels run from ceil(log2 phi)
     to floor(log2(rho*n)) with rho = 10*phi/alpha; an empty level range
     returns YES (no evidence collected; such parameters are routed elsewhere
-    by the dispatch layer). `decided` is as in single_level_reduce.
+    by the dispatch layer). `passes` is as in single_level_reduce.
     """
     n = len(xv)
     if len(yv) != n:
@@ -342,8 +344,9 @@ def multilevel_reduce(
         raise ParameterError(
             f"need alpha/10 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
-    runs = _draw_runs(n, multilevel_levels(n, alpha, phi), rs)
-    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs, decided)
+    levels = multilevel_levels(n, alpha, phi)
+    runs = [run for _ in range(passes) for run in _draw_runs(n, levels, rs)]
+    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs)
 
 
 @dataclass(frozen=True)

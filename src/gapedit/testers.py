@@ -35,8 +35,11 @@ A pass's plan is a list of (length, starts) runs: h1 hands it to
 ``per_block``. A whole string is the one-block plan ``[(n, [0])]``. The
 one-instance testers join a batch through ``_each``, member by member.
 
-Testers never short-circuit across planned oracle calls or repetitions, so
-their read sequences depend only on (n, parameters, seed).
+Every tester reads all the positions it plans, in every repetition,
+whatever the symbols read, so its read sequence depends only on
+(n, parameters, seed). Deciding may stop once the verdict is fixed: the
+one-sided block tiers read every pass's blocks, then decide them and stop
+at the first NO block.
 """
 
 from __future__ import annotations
@@ -504,14 +507,12 @@ def one_sided_passes(
     reduce, xv: View, yv: View, alpha: int, beta: int, delta: float, rs: RandomStream
 ) -> bool:
     """YES iff all reps_any(delta) passes of a one-sided block reduction (at
-    phi = beta, over exact_gap_oracle) answer YES. Every pass runs (a list,
-    not a generator), so the reads stay non-adaptive. The passes share one
-    answer memo, so each distinct (start, length) block is settled once per
-    call, and a block a later pass repeats costs only its reads."""
-    reps, decided = reps_any(delta), {}
-    return all(
-        [reduce(xv, yv, alpha, beta, beta, exact_gap_oracle, rs, decided) for _ in range(reps)]
-    )
+    phi = beta, over exact_gap_oracle) answer YES. The reduction draws the
+    passes' plans back to back and reads every block of every pass before it
+    decides any, so the reads stay non-adaptive; it then decides the passes
+    as one plan, each distinct block at most once, and stops at the first NO
+    block, which no later pass could overturn."""
+    return reduce(xv, yv, alpha, beta, beta, exact_gap_oracle, rs, reps_any(delta))
 
 
 def main_gap(inst: GapInstance, cfg: TesterConfig, rs: RandomStream) -> bool:

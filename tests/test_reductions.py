@@ -3,8 +3,11 @@
 import hashlib
 import random
 import threading
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapedit import reductions, testers
 from gapedit.harness import InstanceSpec, generate
@@ -227,15 +230,47 @@ def single_level_blocks(n, alpha, phi, rs):
     return tiles(n, b, rs.uniform_indices(m, iters))
 
 
-def leaf_instance(n):
+def leaf_instance(n, cluster=True):
     """x's symbols are distinct, so a block's first symbol and length name it;
-    y substitutes fresh symbols: a cluster of 10 (NO at beta = 4 in any block
-    holding 5 of them) and singles, one in the short last blocks."""
+    y substitutes fresh symbols: four singles, one in the short last blocks,
+    and with `cluster` a run of 10 (NO at beta = 4 in any block holding 5 of
+    them). Without it ED = 4, so every block is YES at beta = 4."""
     x = list(range(n))
     y = list(x)
-    for i in (*range(500, 510), 37, 260, 777, 999):
+    for i in (*range(500, 510 if cluster else 500), 37, 260, 777, 999):
         y[i] = n + i
     return x, y
+
+
+def assert_leaf_witness(calls, unequal, yes, beta):
+    """`calls` are the leaf's (start, length, x block, y block, answer) in
+    call order. On YES every distinct unequal planned block reached the leaf,
+    once. On NO each block reached it at most once, longest first, every call
+    before the last answered YES, and the last block, the witness, is more
+    than beta apart."""
+    blocks = [(s, l) for s, l, *_ in calls]
+    assert len(blocks) == len(set(blocks)) and set(blocks) <= unequal
+    if yes:
+        assert set(blocks) == unequal
+        return
+    lengths = [l for _, l in blocks]
+    assert lengths == sorted(lengths, reverse=True)
+    *before, (_, _, bx, by, last) = calls
+    assert all(answer for *_, answer in before) and not last
+    assert gap_ed_banded(bx, by, beta) is EXCEEDS
+
+
+def witness_leaf(calls):
+    """exact_gap_oracle, recording (start, length, x block, y block, answer)
+    into `calls`; x's symbols are their positions, so bx[0] is the start."""
+
+    def leaf(bx, by, *args):
+        assert bx != by
+        answer = exact_gap_oracle(bx, by, *args)
+        calls.append((bx[0], len(bx), bx, by, answer))
+        return answer
+
+    return leaf
 
 
 @pytest.mark.parametrize(
@@ -245,20 +280,13 @@ def leaf_instance(n):
 )
 def test_leaf_sees_each_distinct_unequal_block_once(reduce, alpha, blocks):
     n, beta = 1000, 4
-    x, y = leaf_instance(n)
-    repeated = 0
-    for seed in range(4):
-        seen = []
-
-        def leaf(bx, by, *args):
-            seen.append((bx[0], len(bx)))
-            assert bx != by
-            return exact_gap_oracle(bx, by, *args)
-
+    repeated, verdicts = 0, set()
+    for cluster, seed in product((False, True), range(4)):
+        x, y = leaf_instance(n, cluster)
+        calls = []
         xm, ym = MeteredString(x), MeteredString(y)
         with oracle_call_tally() as tally:
-            yes = reduce(xm.view(), ym.view(), alpha, beta, beta, leaf, RandomStream(seed))
-        assert len(seen) == len(set(seen))
+            yes = reduce(xm.view(), ym.view(), alpha, beta, beta, witness_leaf(calls), RandomStream(seed))
 
         plan = blocks(n, alpha, beta, RandomStream(seed))
         answers = [
@@ -267,9 +295,12 @@ def test_leaf_sees_each_distinct_unequal_block_once(reduce, alpha, blocks):
         ]
         assert (yes, tally[0]) == (all(answers), len(plan))
         assert xm.count == ym.count == sum(l for _, l in plan)
-        assert set(seen) == {(s, l) for s, l in plan if x[s : s + l] != y[s : s + l]}
+        unequal = {(s, l) for s, l in plan if x[s : s + l] != y[s : s + l]}
+        assert_leaf_witness(calls, unequal, yes, beta)
         repeated += len(plan) - len(set(plan))
+        verdicts.add(yes)
     assert repeated > 0 and 0 < answers.count(False) < len(plan)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -277,23 +308,17 @@ def test_leaf_sees_each_distinct_unequal_block_once(reduce, alpha, blocks):
     [(multilevel_reduce, 80, multilevel_blocks), (single_level_reduce, 45, single_level_blocks)],
 )
 def test_amplification_passes_settle_each_distinct_block_once(monkeypatch, reduce, alpha, blocks):
-    # one_sided_passes shares one memo across its passes: a block that an
-    # earlier pass settled is charged again but never sliced, compared or
-    # sent to the leaf again
+    # one_sided_passes decides its passes as one plan: a block that another
+    # pass repeats is charged again but never sliced, compared or sent to
+    # the leaf again
     n, beta, delta = 1000, 4, 0.1
     reps = reps_any(delta)
-    x, y = leaf_instance(n)
-    seen = []
-
-    def leaf(bx, by, *args):
-        seen.append((bx[0], len(bx)))
-        assert bx != by
-        return exact_gap_oracle(bx, by, *args)
-
-    monkeypatch.setattr(testers, "exact_gap_oracle", leaf)
-    across = 0
-    for seed in range(4):
-        seen.clear()
+    calls = []
+    monkeypatch.setattr(testers, "exact_gap_oracle", witness_leaf(calls))
+    across, verdicts = 0, set()
+    for cluster, seed in product((False, True), range(4)):
+        x, y = leaf_instance(n, cluster)
+        calls.clear()
         xm, ym = MeteredString(x), MeteredString(y)
         with oracle_call_tally() as tally:
             yes = one_sided_passes(reduce, xm.view(), ym.view(), alpha, beta, delta, RandomStream(seed))
@@ -302,14 +327,16 @@ def test_amplification_passes_settle_each_distinct_block_once(monkeypatch, reduc
         plans = [blocks(n, alpha, beta, rs) for _ in range(reps)]
         planned = [block for plan in plans for block in plan]
         unequal = {(s, l) for s, l in planned if x[s : s + l] != y[s : s + l]}
-        assert len(seen) == len(set(seen)) and set(seen) == unequal
+        assert_leaf_witness(calls, unequal, yes, beta)
         assert tally[0] == len(planned) == reps * len(plans[0])
         assert yes == all(
             exact_gap_oracle(x[s : s + l], y[s : s + l], beta, beta, rs) for s, l in planned
         )
         assert xm.count == ym.count == sum(l for _, l in planned)
         across += sum(len(unequal.intersection(plan)) for plan in plans) - len(unequal)
+        verdicts.add(yes)
     assert across > 0  # unequal blocks that more than one pass drew
+    assert verdicts == {True, False}
 
 
 def nonpower_instance(n):
@@ -330,31 +357,32 @@ def short_tile_between_full_ones(blocks):
 
 
 # (reduce, alpha, n, sha256 of the certified plan's repr, (verdict, tallied
-# oracle calls) of three passes sharing one memo, x reads, x distinct reads),
-# written by the code that grouped a flat plan into runs
+# oracle calls) of one three-pass call, x reads, x distinct reads), written
+# by the code that grouped a flat plan into runs; the tally is three times
+# one pass's planned pairs
 NON_POWER_OF_TWO_PINS = [
     (multilevel_reduce, 80, 1000, "3ab30cce42694e77f940e2727515af16f2045818becc4b9e54a4ba3bfc374c19",
-     [(False, 250), (False, 250), (False, 250)], 10556, 1000),
+     (False, 750), 10556, 1000),
     (multilevel_reduce, 80, 4097, "6a287b51b3f9efb8e116b4ce59af40a96e62b94a20366f463dbff13b84da910d",
-     [(False, 1033), (False, 1033), (False, 1033)], 69140, 4097),
+     (False, 3099), 69140, 4097),
     (multilevel_reduce, 80, 6000, "749edf35254b5ef1de412854732aeb6fa2543ce19871da5c753367ee6a7efabb",
-     [(False, 1501), (False, 1501), (False, 1501)], 93680, 6000),
+     (False, 4503), 93680, 6000),
     (single_level_reduce, 90, 1000, "4b258e8d327782d641e68b7b54dacd9c873375030be59fc1699318cca11ebe5e",
-     [(False, 36), (False, 36), (False, 36)], 13176, 1000),
+     (False, 108), 13176, 1000),
     (single_level_reduce, 90, 4097, "e4b247686a8c6d451e977b38f23118054ef4ef0ba4357b855f8e03a58dfe4380",
-     [(False, 147), (False, 147), (False, 147)], 224487, 4097),
+     (False, 441), 224487, 4097),
     (single_level_reduce, 90, 6000, "60bd48eed0eacddb98914bc1f6c52dc2ecbb37efb4e9bc1584072fef16ec6267",
-     [(False, 214), (False, 214), (False, 214)], 477200, 6000),
+     (False, 642), 477200, 6000),
 ]
 
 
 @pytest.mark.parametrize(
-    "reduce, alpha, n, plan_digest, outcomes, reads, distinct",
+    "reduce, alpha, n, plan_digest, outcome, reads, distinct",
     NON_POWER_OF_TWO_PINS,
     ids=[f"{pin[0].__name__}-{pin[2]}" for pin in NON_POWER_OF_TWO_PINS],
 )
 def test_non_power_of_two_n_pins_plans_and_outcomes(
-    reduce, alpha, n, plan_digest, outcomes, reads, distinct
+    reduce, alpha, n, plan_digest, outcome, reads, distinct
 ):
     # a level's short last tile is drawn between full tiles, so a run of
     # equal-length blocks is split there and resumes after it
@@ -376,33 +404,35 @@ def test_non_power_of_two_n_pins_plans_and_outcomes(
 
     x, y = nonpower_instance(n)
     xm, ym = MeteredString(x, track_distinct=True), MeteredString(y, track_distinct=True)
-    rs, decided, got = RandomStream(seed), {}, []
-    for _ in range(3):
-        with oracle_call_tally() as tally:
-            yes = reduce(xm.view(), ym.view(), alpha, beta, beta, exact_gap_oracle, rs, decided)
-        got.append((yes, tally[0]))
-    assert got == outcomes
+    with oracle_call_tally() as tally:
+        yes = reduce(xm.view(), ym.view(), alpha, beta, beta, exact_gap_oracle, RandomStream(seed), 3)
+    assert (yes, tally[0]) == outcome
     assert (xm.count, xm.distinct_count()) == (ym.count, ym.distinct_count()) == (reads, distinct)
 
 
 # (side, seed, verdict, leaf calls, sha256 of the repr of the leaf calls'
 # (length, x block, y block) in call order) of one main_gap call at
-# (n, k, c) = (4096, 16, 2), written by the code that grouped a flat plan
-# into runs
+# (n, k, c) = (4096, 16, 2), written by the code that decides the runs
+# longest first and stops at the first NO block
 LEAF_CALL_PINS = [
-    ("yes", 0, True, 69, "7e463ca66bda8363f81165d467ef72ffeaecac598e0365dcac03235b98798ddc"),
-    ("yes", 1, True, 74, "7b6951f566f3e397b79cfd973f69edbe2b746d2d2f6339ebbfa06929b5613408"),
-    ("no", 0, False, 348, "001a7038b688a9d9c16aa9a325ae700b15fcbd4387875ba9100df6ecf7fb7e47"),
-    ("no", 1, False, 339, "44388edcedd9c282c33e8957377566931939d1c2f342412741da1d75ef189205"),
+    ("yes", 0, True, 69, "919e7f25f9bc3a9b04c0136d4d25dee64052df2adf479f9069b0f4b130b51653"),
+    ("yes", 1, True, 74, "f7d3097b68b7e8449586e70722624f25e2c0cf2a9a56c1fb1b62e4927497b61a"),
+    ("no", 0, False, 1, "92d5eef356a428fe93513fd2570c27128cde8e17dcb899556214ea76640b0c4d"),
+    ("no", 1, False, 1, "207da5d5cc4b2c4d6849b524087f3a8751e9aadc0dd149462bc18850afe64449"),
 ]
 
 
-@pytest.mark.parametrize("side, seed, verdict, count, calls_digest", LEAF_CALL_PINS)
+@pytest.mark.parametrize(
+    "side, seed, verdict, count, calls_digest",
+    LEAF_CALL_PINS,
+    ids=[f"{side}-{seed}" for side, seed, *_ in LEAF_CALL_PINS],
+)
 def test_leaf_calls_per_main_gap_call_are_pinned(
     monkeypatch, side, seed, verdict, count, calls_digest
 ):
-    # the memo settles each distinct block once per main_gap call: the same
-    # blocks reach the leaf, in the same order, not just as many
+    # each distinct block is settled at most once per main_gap call, longest
+    # first, up to the first NO: the same blocks reach the leaf, in the same
+    # order, not just as many
     spec = InstanceSpec("random-edits", 4096, 16, side=side, c=2.0)
     x, y, _ = generate(spec, RandomStream(seed).child("gen"))
     calls = []
@@ -483,6 +513,22 @@ def test_equal_blocks_are_yes_without_a_dp(monkeypatch):
     plan = multilevel_blocks(300, 10 * beta, beta, RandomStream(1))
     assert yes and tally[0] == len(plan) > 0
     assert xm.count == ym.count == sum(l for _, l in plan) > len(plan) * beta
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(0, 2), min_size=n, max_size=n)] * 2)
+    )
+)
+def test_aligned_blocks_are_never_farther_apart_than_the_strings(pair):
+    # why the one-sided block reductions never err on YES, and why the last
+    # leaf call of a NO verdict, a block more than beta apart, shows that
+    # ED(x, y) > beta
+    x, y = pair
+    whole = ed_exact(x, y)
+    for s in range(len(x)):
+        for end in range(s + 1, len(x) + 1):
+            assert ed_exact(x[s:end], y[s:end]) <= whole
 
 
 # ---------------------------------------------------------------------------
