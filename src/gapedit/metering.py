@@ -147,7 +147,8 @@ def _int64_index(p) -> int:
 
 class _Blocks:
     """The blocks [s, s + size) of a window of `data`, at the starts that
-    `read_blocks` charged: reachable by start, and sliced only when taken."""
+    `read_blocks` charged, in charge order: a handle takes no start, and
+    slices each block only when it is reached."""
 
     __slots__ = ("_data", "_offset", "_size", "_starts")
 
@@ -155,36 +156,29 @@ class _Blocks:
         self._data, self._offset, self._size = data, offset, size
         # a copy, so that the blocks handed out are those charged even if the
         # caller's starts change later
-        self._starts = frozenset(starts)
+        self._starts = list(starts)
 
-    def _check(self, starts: Sequence[int]) -> None:
-        if not self._starts.issuperset(starts):
-            unread = set(starts) - self._starts
-            raise KeyError(f"no block of length {self._size} was read at {sorted(unread)}")
-
-    def take(self, starts: Sequence[int]) -> Iterator[list[int]]:
-        """The blocks at `starts` (window-relative, as charged), in that
-        order, each sliced when the iterator reaches it, so a caller that
-        drops each block in turn holds one at a time. A start that was not
-        charged raises KeyError here, before any is sliced."""
-        self._check(starts)
+    def __iter__(self) -> Iterator[list[int]]:
         data, begin, end = self._data, self._offset, self._offset + self._size
-        return (data[begin + s : end + s] for s in starts)
+        return (data[begin + s : end + s] for s in self._starts)
 
     def unequal(
-        self, other: "_Blocks", starts: Sequence[int]
-    ) -> Iterator[tuple[int, list[int], list[int]]]:
-        """(s, this block, other's block) for each s in `starts` at which the
-        two reads' blocks differ, in order. Each pair is sliced and compared
-        in turn, and an equal one is dropped at once. A start that either read
-        did not charge raises KeyError before any block is sliced."""
-        self._check(starts)
-        other._check(starts)
+        self, other: "_Blocks", settled: set[int]
+    ) -> Iterator[tuple[list[int], list[int]]]:
+        """(this block, other's block) at each charged start not in `settled`
+        where the two reads' blocks differ, in charge order. Each start
+        reached joins `settled`, so a start repeated within a read or across
+        reads is sliced once. Two reads that charged different starts or a
+        different size raise ValueError before any block is sliced."""
+        if self._size != other._size or self._starts != other._starts:
+            raise ValueError("unequal pairs two reads of the same starts and size")
         x, xb, y, yb, size = self._data, self._offset, other._data, other._offset, self._size
-        for s in starts:
-            bx, by = x[xb + s : xb + s + size], y[yb + s : yb + s + size]
-            if bx != by:
-                yield s, bx, by
+        for s in self._starts:
+            if s not in settled:
+                settled.add(s)
+                bx, by = x[xb + s : xb + s + size], y[yb + s : yb + s + size]
+                if bx != by:
+                    yield bx, by
 
 
 class MeteredString:
@@ -274,9 +268,8 @@ class MeteredString:
         TypeError, and an integer array is read as its ints. A block outside
         the window raises IndexError. The call charges every block (count,
         log in the order given, and distinct positions) before it returns,
-        and a refused call charges nothing. It returns the charged blocks
-        keyed by start, window-relative: a caller takes the ones it needs, and
-        only those are sliced.
+        and a refused call charges nothing. It returns the charged blocks in
+        charge order, unsliced: a block is sliced only when reached.
         """
         data = self._data
         if length is None:
@@ -304,7 +297,8 @@ class MeteredString:
 
     def read_range(self, start: int, length: int) -> list[int]:
         """The block [start, start + length): the one-start case of `read_blocks`."""
-        return next(self.read_blocks((start,), length).take((start,)))
+        [block] = self.read_blocks((start,), length)
+        return block
 
     def distinct_count(self) -> int:
         if self._touched is None:

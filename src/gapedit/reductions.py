@@ -11,10 +11,10 @@ per member of a batch.
 The one-pair block reductions (single-level, multi-level) read first and
 decide second. Each run is read with one call per string, x first, in plan
 order, so every planned block is charged in full before any is sliced; the
-reads hand back the blocks keyed by start, unsliced. Then the runs are
-decided longest first, and of a run's distinct starts only those that no
-earlier run of that length settled are sliced and compared, one pair at a
-time, inside the meter: an equal pair is YES with no oracle call
+reads hand back the blocks in charge order, unsliced. Then the runs are
+decided longest first: each run's blocks are walked in charge order, and a
+start that no earlier block of that length settled is sliced and compared,
+one pair at a time, inside the meter: an equal pair is YES with no oracle call
 (ED = 0 <= beta), and an unequal one goes to a pair oracle. The first NO
 fixes the verdict, so no block after it is decided. A caller amplifies by
 the pass count: that many plans are drawn back to back and decided as one
@@ -50,7 +50,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import filterfalse, groupby
+from itertools import groupby
 from math import isqrt
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -168,13 +168,17 @@ def exact_shifted_oracle(
 
     Decides by one banded pass per shift at threshold gamma, which is exact
     for the <= gamma question and far cheaper than evaluating the distance.
-    Being exact, it leaves its error budget delta unused.
+    Being exact, it leaves its error budget delta unused. Windows no longer
+    than beta need no pass: shifting by the whole length leaves two empty
+    strings, at distance 0.
     """
     _tally()
     bx = xv.fetch()
     by = yv.fetch()
     n = len(bx)
-    for d in range(0, min(n, beta) + 1):
+    if n <= beta:
+        return True
+    for d in range(0, beta + 1):
         if gap_ed_banded(bx[d:], by[: n - d], gamma) is not EXCEEDS:
             return True
         if d and gap_ed_banded(bx[: n - d], by[d:], gamma) is not EXCEEDS:
@@ -241,8 +245,8 @@ def _run_gap_calls(
 
     Read: each run is read with one call per string, x first, in plan order,
     which charges every planned block before any is decided. Decide: the
-    runs go longest first (plan order among equal lengths). Of a run's
-    distinct starts, those that no earlier run of that length settled are
+    runs go longest first (plan order among equal lengths), each in charge
+    order, and a start that no earlier block of that length settled is
     sliced and compared: an equal pair is YES with no leaf call
     (ED = 0 <= beta), an unequal one goes to the oracle, and the first NO is
     the verdict, with no block decided after it. Long blocks go first: on a
@@ -252,15 +256,12 @@ def _run_gap_calls(
     planned pairs.
     """
     read = [
-        (length, starts, xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length))
+        (length, xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length))
         for length, starts in runs
     ]
     planned, leaf_calls, settled = sum(len(starts) for _, starts in runs), 0, {}
-    for length, starts, xs, ys in sorted(read, key=itemgetter(0), reverse=True):
-        done = settled.setdefault(length, set())
-        fresh = list(filterfalse(done.__contains__, dict.fromkeys(starts)))
-        done.update(fresh)
-        for _, bx, by in xs.unequal(ys, fresh):
+    for length, xs, ys in sorted(read, key=itemgetter(0), reverse=True):
+        for bx, by in xs.unequal(ys, settled.setdefault(length, set())):
             leaf_calls += 1
             if not oracle(bx, by, alpha, beta, rs):
                 _tally(planned - leaf_calls)

@@ -86,8 +86,8 @@ class View:
 
     def fetch_blocks(self, starts: Sequence[int] | np.ndarray, length: int) -> _Blocks:
         """The sub-ranges [s, s + length) for s in `starts`, all charged to
-        the source when called, keyed by start: ``take`` and ``unequal``
-        slice only the blocks asked for."""
+        the source when called, in charge order: iterating the handle, or
+        ``unequal``, slices each block only when it is reached."""
         return self.source.read_blocks(starts, length, self.start, self.length)
 
 

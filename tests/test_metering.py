@@ -82,15 +82,14 @@ def test_block_reads_charge_as_one_read_per_block():
             assert (bulk.count, bulk.log, bulk.distinct_count()) == (
                 single.count, single.log, single.distinct_count()
             )
-            assert list(blocks.take(starts)) == expected
-            assert list(blocks.take(starts)) == expected  # taken any number of times
-            blocks = bulk.read_blocks([offset + s for s in starts], length)
-            expected = [single.read_range(offset + s, length) for s in starts]
+            assert list(blocks) == expected  # in charge order
+            assert list(blocks) == expected  # iterated any number of times
+            blocks = bulk.read_blocks([offset + s for s in reversed(starts)], length)
+            expected = [single.read_range(offset + s, length) for s in reversed(starts)]
             assert (bulk.count, bulk.log, bulk.distinct_count()) == (
                 single.count, single.log, single.distinct_count()
             )
-            assert list(blocks.take([offset + s for s in reversed(starts)])) == expected[::-1]
-            assert list(blocks.take([])) == []
+            assert list(blocks) == expected
         # out of bounds: the source checks the view's window, or its own;
         # a refused call charges nothing
         charged = (bulk.count, list(bulk.log), bulk.distinct_count())
@@ -158,20 +157,15 @@ def test_read_blocks_takes_integer_starts_only():
                 reader(starts, 2)
     assert ms.count == 0 and ms.log == [] and ms.distinct_count() == 0
     # integer types other than int are read as the ints they are
-    assert list(View(ms, 4, 9).fetch_blocks((np.int32(3), 0), 2).take([3, 0])) == [[7, 8], [4, 5]]
-    assert list(ms.read_blocks((np.uint64(3), True), 1).take([3])) == [[3]]
+    assert list(View(ms, 4, 9).fetch_blocks((np.int32(3), 0), 2)) == [[7, 8], [4, 5]]
+    assert list(ms.read_blocks((np.uint64(3), True), 1)) == [[3], [1]]
     assert ms.log == [7, 8, 4, 5, 3, 1]
     # the blocks handed out are the ones charged, whatever the caller's
     # starts list becomes afterwards
     starts = [0]
     blocks = ms.read_blocks(starts, 2)
     starts[0] = 14
-    assert list(blocks.take([0])) == [[0, 1]] and ms.log[-2:] == [0, 1]
-    with pytest.raises(KeyError):
-        blocks.take([14])
-    with pytest.raises(KeyError):  # a start of another read is not handed out
-        blocks.take([0, 3])
-    assert ms.log[-2:] == [0, 1]
+    assert list(blocks) == [[0, 1]] and ms.log[-2:] == [0, 1]
 
 
 def test_read_blocks_takes_integer_arrays():
@@ -181,9 +175,9 @@ def test_read_blocks_takes_integer_arrays():
         by_list, by_array = (
             MeteredString(range(100, 120), log=True, track_distinct=True) for _ in "ab"
         )
-        listed = list(View(by_list, offset, 10).fetch_blocks([3, 0], 4).take([3, 0]))
+        listed = list(View(by_list, offset, 10).fetch_blocks([3, 0], 4))
         arrayed = View(by_array, offset, 10).fetch_blocks(np.array([3, 0], dtype=np.int32), 4)
-        assert list(arrayed.take([3, 0])) == listed
+        assert list(arrayed) == listed
         assert listed == [
             list(range(103 + offset, 107 + offset)), list(range(100 + offset, 104 + offset))
         ]
@@ -195,24 +189,49 @@ def test_read_blocks_takes_integer_arrays():
         with pytest.raises(IndexError):
             View(by_array, offset, 10).fetch_blocks(np.array([7, 0], dtype=np.int64), 4)
         assert (by_array.count, by_array.log, by_array.distinct_count()) == (8, by_list.log, 7)
-    assert list(MeteredString(range(4)).read_blocks(np.array([], dtype=np.int64), 2).take([])) == []
+    assert list(MeteredString(range(4)).read_blocks(np.array([], dtype=np.int64), 2)) == []
 
 
 def test_unequal_yields_the_charged_pairs_that_differ():
     # x and y differ at 3 and 11 only; windows with different offsets pair
-    # their blocks by window-relative start
+    # their blocks by window-relative start, in charge order
     x = list(range(100, 120))
     y = [v + 50 if i in (3, 11) else v for i, v in enumerate(x)]
     xm, ym = MeteredString(x), MeteredString([0, 0, *y])
     xv, yv = View(xm, 0, 20), View(ym, 2, 20)
     starts = [8, 0, 12, 8, 2, 16]
     xs, ys = xv.fetch_blocks(starts, 4), yv.fetch_blocks(starts, 4)
-    got = list(xs.unequal(ys, [12, 8, 0, 2, 16]))
-    assert got == [(8, x[8:12], y[8:12]), (0, x[0:4], y[0:4]), (2, x[2:6], y[2:6])]
-    assert list(xs.unequal(ys, [])) == [] and list(xs.unequal(ys, [12, 16])) == []
-    for other, bad in ((ys, [4]), (yv.fetch_blocks([0, 4], 4), [8])):
-        with pytest.raises(KeyError):  # a start one of the reads did not charge
-            next(xs.unequal(other, bad))
+    settled = set()
+    got = list(xs.unequal(ys, settled))
+    assert got == [(x[8:12], y[8:12]), (x[0:4], y[0:4]), (x[2:6], y[2:6])]
+    assert settled == {0, 2, 8, 12, 16}  # every start reached, equal or not
+    assert list(xs.unequal(ys, settled)) == []  # a settled start is not sliced again
+    assert list(xs.unequal(ys, {8, 0})) == [(x[2:6], y[2:6])]
+    empty = xv.fetch_blocks([], 4)
+    assert list(empty.unequal(yv.fetch_blocks([], 4), settled)) == []
+
+
+def test_unequal_refuses_reads_of_other_starts_or_size():
+    # two reads pair only when they charged the same starts and size: a
+    # mismatch raises before any block is sliced or any start settled
+    x, y = MeteredString(range(20)), MeteredString(range(50, 70))
+    xs = View(x, 2, 16).fetch_blocks([4, 0, 4], 3)
+    others = (
+        View(y, 0, 16).fetch_blocks([4, 0], 3),  # a start fewer
+        View(y, 0, 16).fetch_blocks([0, 4, 4], 3),  # the same starts reordered
+        View(y, 0, 16).fetch_blocks([4, 0, 8], 3),  # another start
+        View(y, 0, 16).fetch_blocks([4, 0, 4], 2),  # another size
+    )
+    for other in others:
+        settled = set()
+        with pytest.raises(ValueError):
+            next(xs.unequal(other, settled))
+        assert settled == set()
+    # the start repeated inside the run is yielded once
+    settled = set()
+    same = View(y, 0, 16).fetch_blocks([4, 0, 4], 3)
+    assert list(xs.unequal(same, settled)) == [([6, 7, 8], [54, 55, 56]), ([2, 3, 4], [50, 51, 52])]
+    assert settled == {0, 4}
 
 
 def charged_positions(calls):

@@ -742,16 +742,32 @@ def test_shifted_to_gap_no_side():
     assert not yes
 
 
-def test_shifted_to_gap_degenerate_short_strings():
+def test_shifted_to_gap_degenerate_short_strings(monkeypatch):
     # n <= beta: the shift budget can empty both truncations, so the shifted
-    # distance is 0 by definition and the answer is YES for any content
+    # distance is 0 by definition and the answer is YES for any content;
+    # exact_shifted_oracle gives it after its two reads, with no banded pass
     from gapedit.strings import shifted_ed_exact
 
+    def no_pass(*args):
+        raise AssertionError("a banded pass on a window no longer than beta")
+
+    monkeypatch.setattr(reductions, "gap_ed_banded", no_pass)
     x = as_view([1, 2, 3])
     z = as_view([9, 9, 9])
     assert shifted_ed_exact([1, 2, 3], [9, 9, 9], 4) == 0
     oracle, spread = per_member(fetched_at(exact_gap_oracle)), shift_grid_spread(4, 0)
     assert shifted_to_gap(single(x, z), 12, 4, 0, spread, oracle, 0.1, RandomStream(1)) == [True]
+    rng = random.Random(22)
+    for _ in range(300):
+        beta = rng.randint(0, 8)
+        n, gamma = rng.randint(0, beta), rng.randint(0, beta)
+        a, b = ([rng.randrange(3) for _ in range(n)] for _ in "ab")
+        xm, ym = MeteredString(a, log=True), MeteredString(b, log=True)
+        with oracle_call_tally() as tally:
+            yes = exact_shifted_oracle(xm.view(), ym.view(), 99, beta, gamma, 0.1, RandomStream(0))
+        assert yes == (shifted_ed_exact(a, b, beta) <= gamma)
+        assert tally[0] == 1 and xm.log == ym.log == list(range(n))
+    monkeypatch.undo()
     # one symbol over budget: the grid runs and the disjoint content fails it
     x5 = as_view([1, 2, 3, 4, 5])
     z5 = as_view([9, 8, 7, 6, 5 + 10])
