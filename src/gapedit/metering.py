@@ -19,14 +19,18 @@ from .strings import View, symbols
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# the same constants as uint64 scalars, built once for u64_block
+_U_GOLDEN, _U_MUL1, _U_MUL2 = np.uint64(_GOLDEN), np.uint64(_MUL1), np.uint64(_MUL2)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _mix64(z: int) -> int:
     z &= _MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z = (z * _MUL1) & _MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z = (z * _MUL2) & _MASK64
     z ^= z >> 31
     return z
 
@@ -70,28 +74,53 @@ class RandomStream:
                 return z % m
 
     def uniform_indices(self, m: int, count: int, step: int = 1) -> list[int]:
-        """`count` draws of `step * uniform_index(m)` in one vectorized pass.
+        """`count` draws of `step * uniform_index(m)`: the one-part case of
+        `uniform_parts`, as a list."""
+        return self.uniform_parts(((m, count, step),))[0].tolist()
 
-        Same values and same final state as the scalar calls: the accepted
-        draws of each block are kept in order and the rejected ones are drawn
-        again from where the block ended. A draw is scaled by `step` before
-        it leaves the array, so (m - 1) * step must stay below 2^64.
+    def uniform_parts(self, parts: Sequence[tuple[int, int, int]]) -> list[np.ndarray]:
+        """`uniform_indices(m, count, step)` for each part (m, count, step) in
+        turn, drawn from one `u64_block`: the same values, as uint64 arrays,
+        and the same final state.
+
+        A part with m = 1 draws nothing. Otherwise its accepted draws are kept
+        in order and each rejected one is drawn again after the part's last,
+        so a rejection shifts every later part by one draw, as back-to-back
+        calls would. A draw is scaled by `step` before it leaves the array, so
+        (m - 1) * step must stay below 2^64. Every part is checked before
+        anything is drawn, so a refused call leaves the state alone.
         """
-        if m < 1:
-            raise ValueError(f"uniform_indices needs m >= 1, got {m}")
-        if m == 1:
-            return [0] * count
-        if not (step >= 1 and (m - 1) * step < 1 << 64):
-            raise ValueError(f"uniform_indices needs 1 <= step < 2^64 / (m - 1), got {step}")
-        if m & (m - 1) == 0:  # 2^64 is a multiple of m: nothing is rejected
-            z = self.u64_block(count) & np.uint64(m - 1)
-            return (z * np.uint64(step) if step > 1 else z).tolist()
-        limit = np.uint64((1 << 64) - ((1 << 64) % m))
-        out: list[int] = []
-        while len(out) < count:
-            z = self.u64_block(count - len(out))
-            z = z[z < limit] % np.uint64(m)
-            out += (z * np.uint64(step) if step > 1 else z).tolist()
+        for m, count, step in parts:
+            if count < 0:
+                raise ValueError(f"uniform_indices needs count >= 0, got {count}")
+            if m < 1:
+                raise ValueError(f"uniform_indices needs m >= 1, got {m}")
+            if m > 1 and not (step >= 1 and (m - 1) * step < 1 << 64):
+                raise ValueError(f"uniform_indices needs 1 <= step < 2^64 / (m - 1), got {step}")
+        z = self.u64_block(sum(count for m, count, _ in parts if m > 1))
+        i, out = 0, []
+        for m, count, step in parts:
+            if m == 1 or not count:
+                out.append(np.zeros(count, np.uint64))
+                continue
+            whole = m & (m - 1) == 0  # 2^64 is a multiple of m: nothing is rejected
+            limit = np.uint64((1 << 64) - ((1 << 64) % m)) if not whole else None
+            kept, need = [], count
+            while need:
+                if i + need > len(z):  # past the block: draw the rejected ones again
+                    z = np.concatenate((z[i:], self.u64_block(i + need - len(z))))
+                    i = 0
+                w = z[i : i + need]
+                i += need
+                if not whole:
+                    w = w[w < limit]
+                kept.append(w)
+                need -= len(w)
+            v = kept[0] if len(kept) == 1 else np.concatenate(kept)
+            v = v & np.uint64(m - 1) if whole else v % np.uint64(m)
+            if step > 1:
+                v *= np.uint64(step)
+            out.append(v)
         return out
 
     def child(self, label) -> "RandomStream":
@@ -103,15 +132,16 @@ class RandomStream:
 
     def u64_block(self, count: int) -> np.ndarray:
         """Vectorized draw of `count` values; matches `next_u64` sequence exactly."""
-        states = (self._state + _GOLDEN * np.arange(1, count + 1, dtype=np.uint64)) & np.uint64(
-            _MASK64
-        )
-        z = states
-        z ^= z >> np.uint64(30)
-        z = (z * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(_MASK64)
-        z ^= z >> np.uint64(27)
-        z = (z * np.uint64(0x94D049BB133111EB)) & np.uint64(_MASK64)
-        z ^= z >> np.uint64(31)
+        if count < 0:
+            raise ValueError(f"u64_block needs count >= 0, got {count}")
+        z = np.arange(1, count + 1, dtype=np.uint64)  # uint64 arithmetic wraps mod 2^64
+        z *= _U_GOLDEN
+        z += np.uint64(self._state)
+        z ^= z >> _U30
+        z *= _U_MUL1
+        z ^= z >> _U27
+        z *= _U_MUL2
+        z ^= z >> _U31
         self._state = (self._state + _GOLDEN * count) & _MASK64
         return z
 
@@ -121,11 +151,11 @@ class RandomStream:
         Uses modulo folding; the bias is < alphabet / 2**64 and irrelevant for
         instance generation.
         """
-        if alphabet < 1:
-            raise ValueError("alphabet must be >= 1")
-        if count == 0:
-            return []
-        return (self.u64_block(count) % np.uint64(alphabet)).astype(np.int64).tolist()
+        if not 1 <= alphabet <= 1 << 64:
+            raise ValueError(f"alphabet must lie in [1, 2^64], got {alphabet}")
+        z = self.u64_block(count)
+        # ints as drawn: an int64 cast would wrap values of 2^63 and above
+        return (z if alphabet == 1 << 64 else z % np.uint64(alphabet)).tolist()
 
 
 def _mirror(data: list[int]) -> np.ndarray:

@@ -3,10 +3,11 @@
 All reductions plan their oracle calls up front (level-major, iteration-minor)
 and read every planned block whatever the answers, so the positions read are
 a pure function of (n, parameters, seed). Deciding may stop once the verdict
-is fixed. A plan is a list of runs: one draw per level gives that level's
-block starts as a (length, starts) run, split only where the level's short
-last tile is drawn. A reduction answers with verdicts: a bool, or one bool
-per member of a batch.
+is fixed. A plan is a list of runs, with one draw per plan: one
+`uniform_parts` call gives every level's block starts, and each level's
+starts form a (length, starts) run, split only where the level's short last
+tile is drawn. A reduction answers with verdicts: a bool, or one bool per
+member of a batch.
 
 The one-pair block reductions (single-level, multi-level) read first and
 decide second. Each run is read with one call per string, x first, in plan
@@ -17,10 +18,10 @@ start that no earlier block of that length settled is sliced and compared,
 one pair at a time, inside the meter: an equal pair is YES with no oracle call
 (ED = 0 <= beta), and an unequal one goes to a pair oracle. The first NO
 fixes the verdict, so no block after it is decided. A caller amplifies by
-the pass count: that many plans are drawn back to back and decided as one
-(as `testers.one_sided_passes` does). The reduction tallies the planned
-pairs the oracle did not see, so the oracle-call tally still counts planned
-pairs:
+the pass count: that many plans are drawn back to back, in one draw, and
+decided as one (as `testers.one_sided_passes` does). The reduction tallies
+the planned pairs the oracle did not see, so the oracle-call tally still
+counts planned pairs:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
@@ -270,11 +271,10 @@ def _run_gap_calls(
     return True
 
 
-def _tile_runs(n: int, size: int, count: int, rs: RandomStream) -> list[Run]:
-    """`count` uniform tiles [i * size, (i + 1) * size) of [0..n), from one
-    draw, in order, as runs of equal length. Only the last tile is shorter,
-    so a run is split only where that tile is drawn."""
-    starts = rs.uniform_indices(ceil_div(n, size), count, size)
+def _tile_runs(n: int, size: int, starts: list[int]) -> list[Run]:
+    """The tiles [s, s + size) of [0..n) at `starts`, in order, as runs of
+    equal length. Only the last tile is shorter, so a run is split only
+    where that tile was drawn."""
     short = n % size
     if not short:
         return [(size, starts)]
@@ -282,13 +282,20 @@ def _tile_runs(n: int, size: int, count: int, rs: RandomStream) -> list[Run]:
     return [(short if last else size, list(run)) for last, run in groupby(starts, tail.__eq__)]
 
 
-def _draw_runs(n: int, levels: list[tuple[int, int]], rs: RandomStream) -> list[Run]:
-    """Uniform block choices, level-major, iteration-minor, as runs.
+def _draw_runs(n: int, tilings: list[tuple[int, int]], rs: RandomStream) -> list[Run]:
+    """`count` uniform tiles [i * size, (i + 1) * size) of [0..n) for each
+    (size, count) in `tilings`, in turn, as runs.
 
-    One vectorized draw per level. Level p tiles [0..n) with blocks of length
-    2^p, and only the tile from n >> p on is shorter.
+    One draw per plan: every tiling's tile indices come from one
+    `uniform_parts` call, which gives the values and final state of one
+    `uniform_indices` call per tiling.
     """
-    return [run for p, iters in levels for run in _tile_runs(n, 1 << p, iters, rs)]
+    drawn = rs.uniform_parts([(ceil_div(n, size), count, size) for size, count in tilings])
+    return [
+        run
+        for (size, _), starts in zip(tilings, drawn)
+        for run in _tile_runs(n, size, starts.tolist())
+    ]
 
 
 def single_level_reduce(
@@ -317,7 +324,7 @@ def single_level_reduce(
             f"need alpha/3 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
     b, _, iters = single_level_plan(n, alpha, phi)
-    runs = [run for _ in range(passes) for run in _tile_runs(n, b, iters, rs)]
+    runs = _draw_runs(n, [(b, iters)] * passes, rs)
     return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs)
 
 
@@ -345,8 +352,8 @@ def multilevel_reduce(
         raise ParameterError(
             f"need alpha/10 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
         )
-    levels = multilevel_levels(n, alpha, phi)
-    runs = [run for _ in range(passes) for run in _draw_runs(n, levels, rs)]
+    tilings = [(1 << p, iters) for p, iters in multilevel_levels(n, alpha, phi)]
+    runs = _draw_runs(n, tilings * passes, rs)
     return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs)
 
 
@@ -435,7 +442,8 @@ def gap_to_shifted(
             f"alpha={alpha} is too small for phi={phi} at n={n} "
             f"(raise alpha or lower phi)"
         )
-    runs = _draw_runs(n, gap_to_shifted_levels(n, alpha, phi), rs)
+    levels = gap_to_shifted_levels(n, alpha, phi)
+    runs = _draw_runs(n, [(1 << p, iters) for p, iters in levels], rs)
     planned = sum(len(starts) for _, starts in runs)
     rows = oracle(batch, runs, phi, beta, psi, 1.0 / (2 * max(1, planned)), rs)
     assert len(rows) == planned, "the oracle answers one row per planned block"

@@ -211,21 +211,35 @@ def batched_shifted_h0(
     answers YES. A window no longer than beta is decided exactly by
     exact_shifted_oracle.
 
-    A run's samples come from one draw, cut into one chunk per window. The
-    sampled windows between two exact ones are read with one read_many per
-    string. The draws, the tally and, when the common string and the member
-    read different sources (q = 1), each source's read sequence equal those
-    of deciding the windows one at a time, in order.
+    One draw per plan: every sampled window's sample comes from one
+    `uniform_parts` call, made before the first read, with one part per run
+    of sampled windows, cut into one chunk per window. The sampled windows
+    between two exact ones are read with one read_many per string. The
+    draws, the tally and, when the common string and the member read
+    different sources (q = 1), each source's read sequence equal those of
+    deciding the windows one at a time, in order.
     """
     q = batch.q
     if beta < 0 or alpha < beta:
         raise ParameterError("need alpha >= beta >= 0")
     xs, ys_off = shift_grid(beta, 0, h0_spread(q, beta))
     calls = len(xs) * len(ys_off) * q
+    sizes = []  # each run's sample size per window; 0 for a run decided exactly
+    for length, _ in runs:
+        n_prime, m = length - beta, 0
+        if n_prime > 0:
+            m = min(n_prime, int(-(-(n_prime / (1 + alpha)) * log((calls + 1) / delta) // 1)))
+            m = max(m, 1)
+        sizes.append(m)
+    drawn = iter(
+        rs.uniform_parts(
+            [(length - beta, m * len(starts), 1) for (length, starts), m in zip(runs, sizes) if m]
+        )
+    )
     rows: list[list[bool]] = []
     sampled: list[tuple[np.ndarray, np.ndarray]] = []  # runs drawn, not yet read
-    for length, starts in runs:
-        if length <= beta:
+    for (length, starts), m in zip(runs, sizes):
+        if not m:
             if sampled:
                 rows += _h0_rows(batch, sampled, xs, ys_off)
                 sampled = []
@@ -236,13 +250,9 @@ def batched_shifted_h0(
                 )
             continue
         _tally(calls * len(starts))
-        n_prime = length - beta
-        m = min(n_prime, int(-(-(n_prime / (1 + alpha)) * log((calls + 1) / delta) // 1)))
-        m = max(m, 1)
-        draws = rs.uniform_indices(n_prime, m * len(starts))
-        sampled.append(
-            (np.array(starts, dtype=np.int64), np.array(draws, dtype=np.int64).reshape(-1, m))
-        )
+        # the draws lie below length - beta, so their int64 view reads the same values
+        samples = next(drawn).view(np.int64).reshape(-1, m)
+        sampled.append((np.array(starts, dtype=np.int64), samples))
     if sampled:
         rows += _h0_rows(batch, sampled, xs, ys_off)
     return rows

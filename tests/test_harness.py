@@ -520,6 +520,23 @@ def test_cli_gen_refuses_an_alphabet_too_small_for_the_family(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_gen_writes_symbols_of_a_64_bit_alphabet(tmp_path, capsys):
+    # symbols of 2^63 and above are written as they were drawn, never wrapped
+    for alphabet in (2**64 - 1, 2**64):
+        prefix = tmp_path / f"inst-{alphabet}"
+        argv = ["gen", "--n", "64", "--k", "1", "--c", "2", "--alphabet", str(alphabet)]
+        assert cli_main([*argv, "--out", str(prefix)]) == 0
+        x = [int(v) for v in (tmp_path / f"inst-{alphabet}.x").read_text().split()]
+        assert all(0 <= s < alphabet for s in x) and max(x) >= 2**63
+    capsys.readouterr()
+    big = tmp_path / "big"
+    big.mkdir()
+    argv = ["gen", "--n", "8", "--k", "1", "--c", "2", "--alphabet", str(2**64 + 1)]
+    assert cli_main([*argv, "--out", str(big / "inst")]) == 1
+    assert capsys.readouterr().err.startswith("error: alphabet must lie in [1, 2^64]")
+    assert list(big.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "text, missing",
     [

@@ -367,10 +367,77 @@ def test_uniform_indices_rejects_empty_range():
         RandomStream(1).uniform_indices(0, 5)
 
 
+parts_strategy = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([1, 2, 8, 1 << 40, 2**64]), st.integers(1, 10**6)),
+        st.integers(0, 40),
+        st.integers(1, 5),
+    ),
+    max_size=6,
+)
+
+
+@given(st.integers(0, 2**64 - 1), parts_strategy)
+def test_uniform_parts_match_per_part_calls(seed, parts):
+    # powers of two and other moduli, m = 1, count = 0 and step > 1
+    parts = [(m, count, step if m < 2**64 else 1) for m, count, step in parts]
+    a, b = RandomStream(seed), RandomStream(seed)
+    got = a.uniform_parts(parts)
+    assert all(v.dtype == np.uint64 for v in got)
+    assert [v.tolist() for v in got] == [b.uniform_indices(*part) for part in parts]
+    assert a._state == b._state
+
+
+def test_uniform_parts_reject_in_the_middle_and_shift_later_parts():
+    # about half the draws of m = 2^63 + 1 are rejected and drawn again, so
+    # the parts after it start that many draws later
+    parts = [(6, 50, 1), (2**63 + 1, 200, 1), (8, 30, 4), (10, 20, 3)]
+    a, b = RandomStream(77), RandomStream(77)
+    got = a.uniform_parts(parts)
+    want = [[step * b.uniform_index(m) for _ in range(count)] for m, count, step in parts]
+    assert [v.tolist() for v in got] == want
+    assert a._state == b._state
+    # each draw adds the odd constant _GOLDEN to the state, so its inverse
+    # mod 2^64 turns the state's advance into the number of draws made
+    drawn = (a._state - RandomStream(77)._state) * pow(0x9E3779B97F4A7C15, -1, 2**64) % 2**64
+    assert drawn > 300 + 50  # 300 kept, and the middle part's rejected draws
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        pytest.param(lambda rs: rs.uniform_indices(8, -1), id="power-of-two"),
+        pytest.param(lambda rs: rs.uniform_indices(10, -3), id="other-modulus"),
+        pytest.param(lambda rs: rs.uniform_indices(1, -2), id="m-one"),
+        pytest.param(lambda rs: rs.u64_block(-2), id="u64-block"),
+        pytest.param(lambda rs: rs.uniform_parts([(8, 5, 1), (8, -5, 1)]), id="parts"),
+        pytest.param(lambda rs: rs.uniform_parts([(8, 5, 1), (0, 5, 1)]), id="parts-empty-range"),
+    ],
+)
+def test_refused_draws_raise_and_leave_the_state_alone(draw):
+    # a negative count would move the state backwards, and let one part
+    # cancel another part's draws
+    rs = RandomStream(9)
+    with pytest.raises(ValueError):
+        draw(rs)
+    assert rs._state == RandomStream(9)._state
+
+
 def test_bulk_symbols_in_range():
     rs = RandomStream(8)
     syms = rs.symbols(1000, 7)
     assert len(syms) == 1000 and all(0 <= s < 7 for s in syms)
+
+
+@pytest.mark.parametrize("alphabet", [3 << 62, 2**64 - 1, 2**64])
+def test_bulk_symbols_beyond_int64(alphabet):
+    # the symbols are the draws folded into [0, alphabet), as ints
+    syms = RandomStream(8).symbols(1000, alphabet)
+    raw = RandomStream(8).u64_block(1000).tolist()
+    assert syms == [v % alphabet for v in raw]
+    assert all(type(s) is int for s in syms) and max(syms) >= 2**63
+    with pytest.raises(ValueError):
+        RandomStream(8).symbols(10, 2**64 + 1)
 
 
 def _sampling_tester(xm, ym, rs):

@@ -230,6 +230,55 @@ def single_level_blocks(n, alpha, phi, rs):
     return tiles(n, b, rs.uniform_indices(m, iters))
 
 
+def per_level_blocks(n, tilings, rs):
+    """The (start, length) blocks of each (size, count) in `tilings` in turn,
+    from one uniform_indices call each."""
+    return [
+        block
+        for size, count in tilings
+        for block in tiles(n, size, rs.uniform_indices(ceil_div(n, size), count))
+    ]
+
+
+@pytest.mark.parametrize("n", [1000, 4096, 6000])
+def test_plans_match_one_draw_per_level_and_pass(monkeypatch, n):
+    # one draw per plan gives the blocks and the final state of one
+    # uniform_indices call per level and pass; at n = 1000 and 6000 the tail
+    # tiles are short, so runs are split there, and most tile counts are not
+    # powers of two, so their draws go through rejection
+    beta, passes = 4, 3
+    plans = []
+    monkeypatch.setattr(reductions, "_run_gap_calls", lambda xv, yv, runs, *a: plans.append(runs))
+
+    def blocks(runs):
+        assert all(len(starts) for _, starts in runs)
+        return [(s, length) for length, starts in runs for s in starts]
+
+    x = as_view([0] * n)
+    levels = [(1 << p, iters) for p, iters in multilevel_levels(n, 80, beta)]
+    b, _, iters = single_level_plan(n, 90, beta)
+    for reduce, alpha, tilings in [
+        (multilevel_reduce, 80, levels * passes),
+        (single_level_reduce, 90, [(b, iters)] * passes),
+    ]:
+        rs, ref = RandomStream(n), RandomStream(n)
+        reduce(x, x, alpha, beta, beta, exact_gap_oracle, rs, passes)
+        runs = plans.pop()
+        assert blocks(runs) == per_level_blocks(n, tilings, ref)
+        assert rs._state == ref._state
+        assert len(runs) > len(tilings) or n == 4096  # split at the drawn tail tiles
+
+    def plan_oracle(batch, runs, *args):
+        plans.append(runs)
+        return [[True]] * len(blocks(runs))
+
+    rs, ref = RandomStream(n), RandomStream(n)
+    gap_to_shifted(single(x, x), 2048, 1, 1, plan_oracle, rs)
+    levels = [(1 << p, iters) for p, iters in gap_to_shifted_levels(n, 2048, 1)]
+    assert blocks(plans.pop()) == per_level_blocks(n, levels, ref)
+    assert rs._state == ref._state
+
+
 def leaf_instance(n, cluster=True):
     """x's symbols are distinct, so a block's first symbol and length name it;
     y substitutes fresh symbols: four singles, one in the short last blocks,
