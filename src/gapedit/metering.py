@@ -62,9 +62,9 @@ class RandomStream:
         return _mix64(self._state)
 
     def uniform_index(self, m: int) -> int:
-        """Uniform draw from [0..m), unbiased via rejection."""
-        if m < 1:
-            raise ValueError(f"uniform_index needs m >= 1, got {m}")
+        """Uniform draw from [0..m), unbiased via rejection; 1 <= m <= 2^64."""
+        if not 1 <= m <= 1 << 64:
+            raise ValueError(f"uniform_index needs m in [1, 2^64], got {m}")
         if m == 1:
             return 0
         limit = (1 << 64) - ((1 << 64) % m)
@@ -93,8 +93,8 @@ class RandomStream:
         for m, count, step in parts:
             if count < 0:
                 raise ValueError(f"uniform_indices needs count >= 0, got {count}")
-            if m < 1:
-                raise ValueError(f"uniform_indices needs m >= 1, got {m}")
+            if not 1 <= m <= 1 << 64:
+                raise ValueError(f"uniform_indices needs m in [1, 2^64], got {m}")
             if m > 1 and not (step >= 1 and (m - 1) * step < 1 << 64):
                 raise ValueError(f"uniform_indices needs 1 <= step < 2^64 / (m - 1), got {step}")
         z = self.u64_block(sum(count for m, count, _ in parts if m > 1))

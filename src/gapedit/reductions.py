@@ -17,11 +17,11 @@ decided longest first: each run's blocks are walked in charge order, and a
 start that no earlier block of that length settled is sliced and compared,
 one pair at a time, inside the meter: an equal pair is YES with no oracle call
 (ED = 0 <= beta), and an unequal one goes to a pair oracle. The first NO
-fixes the verdict, so no block after it is decided. A caller amplifies by
-the pass count: that many plans are drawn back to back, in one draw, and
-decided as one (as `testers.one_sided_passes` does). The reduction tallies
-the planned pairs the oracle did not see, so the oracle-call tally still
-counts planned pairs:
+fixes the verdict; so does the first run no longer than beta, YES once read,
+as an aligned pair is never farther apart than its length. A caller
+amplifies by the pass count: that many plans are drawn back to back, in one
+draw, and decided as one (as `testers.one_sided_passes` does). The
+reduction tallies the planned pairs once, when the plan is read. Its oracles:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
@@ -82,7 +82,7 @@ _open_tallies: ContextVar[tuple[list[int], ...]] = ContextVar("open_tallies", de
 
 @contextmanager
 def oracle_call_tally():
-    """Context manager counting leaf oracle decisions made inside it, nested tallies' too."""
+    """Context manager counting the oracle calls planned inside it, nested tallies' too."""
     box = [0]
     token = _open_tallies.set(_open_tallies.get() + (box,))
     try:
@@ -152,13 +152,10 @@ def exact_gap_oracle(
     """Valid gap solver for any thresholds on two blocks, by banded DP.
 
     A block is the symbol list a reduction fetched, so every read happens
-    before the answer is known. Blocks no longer than beta
-    (ED <= max(|x|, |y|) <= beta) need no DP. The reductions settle equal
-    blocks themselves; handed two, the DP answers after one common-prefix scan.
+    before the answer is known. The reductions tally the call and settle
+    blocks no longer than beta and equal blocks themselves; handed either,
+    the DP still answers exactly.
     """
-    _tally()
-    if len(bx) <= beta and len(by) <= beta:
-        return True
     return gap_ed_banded(bx, by, beta) is not EXCEEDS
 
 
@@ -245,29 +242,29 @@ def _run_gap_calls(
     """Read every planned block pair, then decide them; YES iff all are.
 
     Read: each run is read with one call per string, x first, in plan order,
-    which charges every planned block before any is decided. Decide: the
-    runs go longest first (plan order among equal lengths), each in charge
-    order, and a start that no earlier block of that length settled is
-    sliced and compared: an equal pair is YES with no leaf call
-    (ED = 0 <= beta), an unequal one goes to the oracle, and the first NO is
-    the verdict, with no block decided after it. Long blocks go first: on a
-    NO instance they are the likeliest to hold more than beta edits, while
-    each short unequal block that passes still costs a banded DP. The pairs
-    not sent to the oracle are tallied here, so the tally still counts
-    planned pairs.
+    which charges every planned block before any is decided, and the planned
+    pairs are tallied. Decide: the runs go longest first (plan order among
+    equal lengths), each in charge order, and a start that no earlier block
+    of that length settled is sliced and compared: an equal pair is YES with
+    no leaf call (ED = 0 <= beta), an unequal one goes to the oracle, and the
+    first NO is the verdict, with no block decided after it. The first run
+    no longer than beta ends the decision YES, since an aligned block pair
+    is never farther apart than its length. Long blocks go first: on a NO
+    instance they are the likeliest to hold more than beta edits, while each
+    short unequal block that passes still costs a banded DP.
     """
     read = [
         (length, xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length))
         for length, starts in runs
     ]
-    planned, leaf_calls, settled = sum(len(starts) for _, starts in runs), 0, {}
+    _tally(sum(len(starts) for _, starts in runs))
+    settled: dict[int, set[int]] = {}
     for length, xs, ys in sorted(read, key=itemgetter(0), reverse=True):
+        if length <= beta:
+            break
         for bx, by in xs.unequal(ys, settled.setdefault(length, set())):
-            leaf_calls += 1
             if not oracle(bx, by, alpha, beta, rs):
-                _tally(planned - leaf_calls)
                 return False
-    _tally(planned - leaf_calls)
     return True
 
 
@@ -298,6 +295,20 @@ def _draw_runs(n: int, tilings: list[tuple[int, int]], rs: RandomStream) -> list
     ]
 
 
+def _one_sided_reduce(xv, yv, alpha, beta, phi, oracle, rs, passes, factor, tilings) -> bool:
+    """single_level_reduce or multilevel_reduce, at alpha >= factor*phi, whose
+    plan is `passes` copies of the (size, count) pairs `tilings(n)`."""
+    n = len(xv)
+    if len(yv) != n:
+        raise ParameterError("input strings must have equal length")
+    if not (alpha >= factor * phi and phi >= beta >= 1):
+        raise ParameterError(
+            f"need alpha/{factor} >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
+        )
+    runs = _draw_runs(n, tilings(n) * passes, rs)
+    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs)
+
+
 def single_level_reduce(
     xv: View,
     yv: View,
@@ -316,16 +327,10 @@ def single_level_reduce(
     none errs on YES instances, since an aligned block pair of equal-length
     strings is never farther apart than the strings.
     """
-    n = len(xv)
-    if len(yv) != n:
-        raise ParameterError("input strings must have equal length")
-    if not (alpha >= 3 * phi and phi >= beta >= 1):
-        raise ParameterError(
-            f"need alpha/3 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
-        )
-    b, _, iters = single_level_plan(n, alpha, phi)
-    runs = _draw_runs(n, [(b, iters)] * passes, rs)
-    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs)
+    return _one_sided_reduce(
+        xv, yv, alpha, beta, phi, oracle, rs, passes, 3,
+        lambda n: [single_level_plan(n, alpha, phi)[::2]],  # [(b, iters)]
+    )
 
 
 def multilevel_reduce(
@@ -345,16 +350,10 @@ def multilevel_reduce(
     returns YES (no evidence collected; such parameters are routed elsewhere
     by the dispatch layer). `passes` is as in single_level_reduce.
     """
-    n = len(xv)
-    if len(yv) != n:
-        raise ParameterError("input strings must have equal length")
-    if not (alpha >= 10 * phi and phi >= beta >= 1):
-        raise ParameterError(
-            f"need alpha/10 >= phi >= beta >= 1, got alpha={alpha} phi={phi} beta={beta}"
-        )
-    tilings = [(1 << p, iters) for p, iters in multilevel_levels(n, alpha, phi)]
-    runs = _draw_runs(n, tilings * passes, rs)
-    return _run_gap_calls(xv, yv, runs, phi, beta, oracle, rs)
+    return _one_sided_reduce(
+        xv, yv, alpha, beta, phi, oracle, rs, passes, 10,
+        lambda n: [(1 << p, iters) for p, iters in multilevel_levels(n, alpha, phi)],
+    )
 
 
 @dataclass(frozen=True)

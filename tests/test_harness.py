@@ -609,6 +609,14 @@ def test_cli_lemma_check_rejects_an_empty_check(capsys, flags, words):
     assert captured.err.startswith("error: ") and words in captured.err
 
 
+def test_cli_lemma_check_refuses_n_past_the_draw_range(capsys):
+    # a case length is 2 plus a draw from [0, n - 1), which no 64-bit draw covers
+    assert cli_main(["lemma-check", "--n", str(2**65), "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "needs m in [1, 2^64]" in captured.err
+
+
 def test_readme_certify_example_passes(capsys):
     lines = [ln.strip() for ln in README.read_text(encoding="utf-8").splitlines()]
     (example,) = [ln for ln in lines if ln.startswith("gapedit certify-nonadaptive ")]

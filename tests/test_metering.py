@@ -423,6 +423,24 @@ def test_refused_draws_raise_and_leave_the_state_alone(draw):
     assert rs._state == RandomStream(9)._state
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        pytest.param(lambda rs: rs.uniform_index(2**64 + 1), id="scalar"),
+        pytest.param(lambda rs: rs.uniform_indices(2**65, 3), id="indices"),
+        pytest.param(lambda rs: rs.uniform_parts([(8, 5, 1), (2**65 - 1, 1, 1)]), id="parts"),
+    ],
+)
+def test_draws_past_2_64_are_refused(draw):
+    # the rejection limit 2^64 - (2^64 mod m) is 0 for m > 2^64, so no draw
+    # could be accepted; m = 2^64 itself takes every draw as it is
+    rs = RandomStream(9)
+    with pytest.raises(ValueError, match=r"needs m in \[1, 2\^64\], got "):
+        draw(rs)
+    assert rs._state == RandomStream(9)._state
+    assert rs.uniform_index(2**64) == RandomStream(9).next_u64()
+
+
 def test_bulk_symbols_in_range():
     rs = RandomStream(8)
     syms = rs.symbols(1000, 7)

@@ -169,6 +169,8 @@ def test_multilevel_empty_level_range_returns_yes():
 
 
 def test_oracle_call_tally():
+    # a reduction tallies its planned pairs once, when the plan is read; the
+    # leaf tallies nothing
     x = rand_list(3, 1024, 4)
     xv = as_view(x)
     oracle = fetched(exact_gap_oracle)
@@ -176,18 +178,18 @@ def test_oracle_call_tally():
         with oracle_call_tally() as equal:
             assert single_level_reduce(xv, xv, 512, 4, 4, exact_gap_oracle, RandomStream(2))
         assert equal[0] == single_level_plan(1024, 512, 4)[2] == 7
-        # equal blocks longer than beta are YES, by the DP, in one call
-        with oracle_call_tally() as direct:
-            assert exact_gap_oracle(x[:64], list(x[:64]), 16, 4, RandomStream(1)) is True
-        assert direct[0] == 1
-        # blocks no longer than beta are YES without a DP
+        # equal blocks longer than beta are YES, by the DP
+        assert exact_gap_oracle(x[:64], list(x[:64]), 16, 4, RandomStream(1)) is True
+        # blocks no longer than beta are YES, by the DP too (ED <= max(|x|, |y|) <= beta)
         x, y = disjoint_pair(5, 80)
         for length, beta in ((64, 64), (40, 64), (1, 1)):
             xb, yb = as_view(x).sub(3, length), as_view(y).sub(7, length)
             assert ed_exact(xb.fetch(), yb.fetch()) == length
             assert oracle(xb, yb, 4 * beta, beta, RandomStream(1)) is True
         assert oracle(as_view(x), as_view(y), 252, 63, RandomStream(1)) is False
-        # ... but the reduction still reads them in full: b = 64 = beta at n = 80, alpha = 240
+        assert tally[0] == equal[0]
+        # ... and the reduction reads them in full, but sends none to the
+        # leaf: b = 64 = beta at n = 80, alpha = 240
         lengths = []
 
         def leaf(bx, by, *args):
@@ -197,12 +199,10 @@ def test_oracle_call_tally():
         xm, ym = MeteredString(x), MeteredString(y)
         with oracle_call_tally() as short:
             assert single_level_reduce(xm.view(), ym.view(), 240, 64, 64, leaf, RandomStream(3))
-        assert max(lengths) <= 64
         plan = single_level_blocks(80, 240, 64, RandomStream(3))
-        assert short[0] == len(plan) and xm.count == ym.count == sum(l for _, l in plan) > 0
-        # the blocks are disjoint, so each distinct one reaches the leaf, once
-        assert lengths == [length for _, length in dict.fromkeys(plan)]
-    assert tally[0] == equal[0] + direct[0] + 4 + short[0] == 14
+        assert lengths == [] and short[0] == len(plan)
+        assert xm.count == ym.count == sum(l for _, l in plan) > 0
+    assert tally[0] == equal[0] + short[0] == 9
 
 
 def tiles(n, size, indices):
@@ -293,10 +293,11 @@ def leaf_instance(n, cluster=True):
 
 def assert_leaf_witness(calls, unequal, yes, beta):
     """`calls` are the leaf's (start, length, x block, y block, answer) in
-    call order. On YES every distinct unequal planned block reached the leaf,
-    once. On NO each block reached it at most once, longest first, every call
-    before the last answered YES, and the last block, the witness, is more
-    than beta apart."""
+    call order. On YES every distinct unequal planned block longer than beta
+    reached the leaf, once. On NO each block reached it at most once, longest
+    first, every call before the last answered YES, and the last block, the
+    witness, is more than beta apart. No block of length <= beta reached it."""
+    unequal = {(s, l) for s, l in unequal if l > beta}
     blocks = [(s, l) for s, l, *_ in calls]
     assert len(blocks) == len(set(blocks)) and set(blocks) <= unequal
     if yes:
@@ -388,6 +389,62 @@ def test_amplification_passes_settle_each_distinct_block_once(monkeypatch, reduc
     assert verdicts == {True, False}
 
 
+# (reduce, alpha, planned blocks) at n = 1000, beta = 4: multilevel's lowest
+# level is blocks of length beta, and single level at alpha = 109 has
+# b = 111, so its last tile has length 1
+SHORT_BLOCK_PLANS = [
+    pytest.param(multilevel_reduce, 80, multilevel_blocks, id="multilevel"),
+    pytest.param(single_level_reduce, 109, single_level_blocks, id="single-level"),
+]
+
+
+@pytest.mark.parametrize("reduce, alpha, blocks", SHORT_BLOCK_PLANS)
+def test_planned_pairs_are_tallied_once_and_no_short_block_reaches_the_leaf(reduce, alpha, blocks):
+    # the leaf tallies nothing, so the tally is the reduction's own: every
+    # planned pair of all the passes, whatever reached the leaf; and a block
+    # no longer than beta is never more than beta apart, so none reaches it
+    n, beta, passes = 1000, 4, 3
+    x, y = leaf_instance(n, cluster=False)  # every block is YES, so all are decided
+    lengths = []
+
+    def leaf(bx, by, alpha, beta, rs):
+        lengths.append(len(bx))
+        return gap_ed_banded(bx, by, beta) is not EXCEEDS
+
+    for seed in range(3):
+        lengths.clear()
+        with oracle_call_tally() as tally:
+            yes = reduce(as_view(x), as_view(y), alpha, beta, beta, leaf, RandomStream(seed), passes)
+        rs = RandomStream(seed)
+        planned = [block for _ in range(passes) for block in blocks(n, alpha, beta, rs)]
+        short = [(s, l) for s, l in planned if l <= beta and x[s : s + l] != y[s : s + l]]
+        assert yes and short and lengths  # unequal short blocks were planned and read
+        assert tally[0] == len(planned) and min(lengths) > beta
+
+
+@pytest.mark.parametrize(
+    "reduce, alpha, blocks",
+    [*SHORT_BLOCK_PLANS, pytest.param(single_level_reduce, 45, single_level_blocks, id="single-45")],
+)
+def test_verdicts_match_a_brute_reference_over_the_plan(reduce, alpha, blocks):
+    # YES iff every pair of the drawn tiles is within beta by ed_exact: the
+    # stops at the first NO and at the first run no longer than beta change
+    # no verdict
+    n, beta, passes = 1000, 4, 3
+    verdicts = set()
+    for cluster, seed in product((False, True), range(4)):
+        x, y = leaf_instance(n, cluster)
+        rs = RandomStream(seed)
+        planned = {block for _ in range(passes) for block in blocks(n, alpha, beta, rs)}
+        want = all(ed_exact(x[s : s + l], y[s : s + l]) <= beta for s, l in planned)
+        got = reduce(
+            as_view(x), as_view(y), alpha, beta, beta, exact_gap_oracle, RandomStream(seed), passes
+        )
+        assert got == want
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def nonpower_instance(n):
     """leaf_instance's edits, and one at the last position, in the short last tile."""
     x = list(range(n))
@@ -462,10 +519,12 @@ def test_non_power_of_two_n_pins_plans_and_outcomes(
 # (side, seed, verdict, leaf calls, sha256 of the repr of the leaf calls'
 # (length, x block, y block) in call order) of one main_gap call at
 # (n, k, c) = (4096, 16, 2), written by the code that decides the runs
-# longest first and stops at the first NO block
+# longest first and stops at the first NO block or the first run no longer
+# than beta = 16; the YES digests are those of the earlier call lists, which
+# also sent the blocks of length <= 16 to the leaf, with those calls removed
 LEAF_CALL_PINS = [
-    ("yes", 0, True, 69, "919e7f25f9bc3a9b04c0136d4d25dee64052df2adf479f9069b0f4b130b51653"),
-    ("yes", 1, True, 74, "f7d3097b68b7e8449586e70722624f25e2c0cf2a9a56c1fb1b62e4927497b61a"),
+    ("yes", 0, True, 54, "496906ee8d08399a557a1b863913a2c626d9185df0537f0fbf8db7c8bbe2ba0b"),
+    ("yes", 1, True, 62, "4b474e4d015b910cc24c174fcfe2da355954fb6a3f873cf905720a3b8f0fc0ef"),
     ("no", 0, False, 1, "92d5eef356a428fe93513fd2570c27128cde8e17dcb899556214ea76640b0c4d"),
     ("no", 1, False, 1, "207da5d5cc4b2c4d6849b524087f3a8751e9aadc0dd149462bc18850afe64449"),
 ]
@@ -760,13 +819,18 @@ def test_shift_grid_examples():
 def test_shifted_to_gap_counts_and_bounds():
     x = rand_list(31, 256, 1 << 16)
     xv = as_view(x)
-    oracle = per_member(fetched_at(exact_gap_oracle))
-    with oracle_call_tally() as tally:
-        assert shifted_to_gap(single(xv, xv), 10, 3, 0, 2, oracle, 0.1, RandomStream(1)) == [True]
-    assert tally[0] == 16
-    with oracle_call_tally() as tally:
-        assert shifted_to_gap(single(xv, xv), 9, 3, 3, 4, oracle, 0.1, RandomStream(1)) == [True]
-    assert tally[0] <= 4
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fetched_at(exact_gap_oracle)(*args)
+
+    oracle = per_member(counted)
+    assert shifted_to_gap(single(xv, xv), 10, 3, 0, 2, oracle, 0.1, RandomStream(1)) == [True]
+    assert len(calls) == 16
+    calls.clear()
+    assert shifted_to_gap(single(xv, xv), 9, 3, 3, 4, oracle, 0.1, RandomStream(1)) == [True]
+    assert len(calls) <= 4
 
 
 def test_shifted_to_gap_rotation_yes():
