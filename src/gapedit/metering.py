@@ -90,6 +90,9 @@ class RandomStream:
         (m - 1) * step must stay below 2^64. Every part is checked before
         anything is drawn, so a refused call leaves the state alone.
         """
+        # a part accepts the draws below 2^64 - (2^64 mod m), so none is
+        # rejected when m is a power of two
+        spare = 0  # the largest 2^64 mod m of a part that draws
         for m, count, step in parts:
             if count < 0:
                 raise ValueError(f"uniform_indices needs count >= 0, got {count}")
@@ -97,14 +100,19 @@ class RandomStream:
                 raise ValueError(f"uniform_indices needs m in [1, 2^64], got {m}")
             if m > 1 and not (step >= 1 and (m - 1) * step < 1 << 64):
                 raise ValueError(f"uniform_indices needs 1 <= step < 2^64 / (m - 1), got {step}")
+            if count and (1 << 64) % m > spare:
+                spare = (1 << 64) % m
         z = self.u64_block(sum(count for m, count, _ in parts if m > 1))
+        # one test over the whole block: if every draw is below the least
+        # limit, nothing is rejected and no part is filtered
+        clean = not spare or int(z.max()) < (1 << 64) - spare
         i, out = 0, []
         for m, count, step in parts:
             if m == 1 or not count:
                 out.append(np.zeros(count, np.uint64))
                 continue
-            whole = m & (m - 1) == 0  # 2^64 is a multiple of m: nothing is rejected
-            limit = np.uint64((1 << 64) - ((1 << 64) % m)) if not whole else None
+            whole = m & (m - 1) == 0
+            limit = None if clean or whole else np.uint64((1 << 64) - (1 << 64) % m)
             kept, need = [], count
             while need:
                 if i + need > len(z):  # past the block: draw the rejected ones again
@@ -112,7 +120,7 @@ class RandomStream:
                     i = 0
                 w = z[i : i + need]
                 i += need
-                if not whole:
+                if limit is not None:
                     w = w[w < limit]
                 kept.append(w)
                 need -= len(w)
@@ -193,22 +201,32 @@ class _Blocks:
         return (data[begin + s : end + s] for s in self._starts)
 
     def unequal(
-        self, other: "_Blocks", settled: set[int]
+        self, other: "_Blocks", settled: set[int], same: bytearray
     ) -> Iterator[tuple[list[int], list[int]]]:
-        """(this block, other's block) at each charged start not in `settled`
-        where the two reads' blocks differ, in charge order. Each start
-        reached joins `settled`, so a start repeated within a read or across
-        reads is sliced once. Two reads that charged different starts or a
+        """(this block, other's block) at each charged start where the two
+        reads' blocks differ, in charge order, each start once.
+
+        `same` covers the window: a 1 at position i means that x[i] == y[i]
+        is known, as i lies in a pair already compared equal. A block whose
+        every position is covered is equal and is skipped unsliced; a block
+        that compares equal is covered with one slice assignment. `settled`
+        holds the starts of this size already yielded, and each start
+        yielded joins it, so a differing block is yielded once however often
+        it was charged. Two reads that charged different starts or a
         different size raise ValueError before any block is sliced."""
         if self._size != other._size or self._starts != other._starts:
             raise ValueError("unequal pairs two reads of the same starts and size")
         x, xb, y, yb, size = self._data, self._offset, other._data, other._offset, self._size
+        ones = b"\x01" * size
         for s in self._starts:
-            if s not in settled:
+            if s in settled or same.find(0, s, s + size) < 0:
+                continue
+            bx, by = x[xb + s : xb + s + size], y[yb + s : yb + s + size]
+            if bx == by:
+                same[s : s + size] = ones
+            else:
                 settled.add(s)
-                bx, by = x[xb + s : xb + s + size], y[yb + s : yb + s + size]
-                if bx != by:
-                    yield bx, by
+                yield bx, by
 
 
 class MeteredString:

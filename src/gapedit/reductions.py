@@ -13,15 +13,19 @@ The one-pair block reductions (single-level, multi-level) read first and
 decide second. Each run is read with one call per string, x first, in plan
 order, so every planned block is charged in full before any is sliced; the
 reads hand back the blocks in charge order, unsliced. Then the runs are
-decided longest first: each run's blocks are walked in charge order, and a
-start that no earlier block of that length settled is sliced and compared,
-one pair at a time, inside the meter: an equal pair is YES with no oracle call
-(ED = 0 <= beta), and an unequal one goes to a pair oracle. The first NO
-fixes the verdict; so does the first run no longer than beta, YES once read,
-as an aligned pair is never farther apart than its length. A caller
-amplifies by the pass count: that many plans are drawn back to back, in one
-draw, and decided as one (as `testers.one_sided_passes` does). The
-reduction tallies the planned pairs once, when the plan is read. Its oracles:
+decided longest first, each in charge order, with one equal-cover per
+decision: the window positions that lie in a pair already compared equal.
+A block inside the cover is equal and is skipped unsliced, which settles
+most short tiles of a multilevel plan, as each lies inside a longer tile.
+Any other block not yet sent to the oracle at its length is sliced and
+compared inside the meter: an equal pair is YES with no oracle call
+(ED = 0 <= beta) and joins the cover, and an unequal one goes to a pair
+oracle, once. The first NO fixes the verdict; so does the first run no
+longer than beta, YES once read, as an aligned pair is never farther apart
+than its length. A caller amplifies by the pass count: that many plans are
+drawn back to back, in one draw, and decided as one (as
+`testers.one_sided_passes` does). The reduction tallies the planned pairs
+once, when the plan is read. Its oracles:
 
 - gap oracle:     fn(x block, y block, alpha, beta, rs) -> bool    (YES == True)
 - shifted oracle: fn(xv, yv, alpha, beta, gamma, delta, rs) -> bool
@@ -244,14 +248,17 @@ def _run_gap_calls(
     Read: each run is read with one call per string, x first, in plan order,
     which charges every planned block before any is decided, and the planned
     pairs are tallied. Decide: the runs go longest first (plan order among
-    equal lengths), each in charge order, and a start that no earlier block
-    of that length settled is sliced and compared: an equal pair is YES with
-    no leaf call (ED = 0 <= beta), an unequal one goes to the oracle, and the
-    first NO is the verdict, with no block decided after it. The first run
-    no longer than beta ends the decision YES, since an aligned block pair
-    is never farther apart than its length. Long blocks go first: on a NO
-    instance they are the likeliest to hold more than beta edits, while each
-    short unequal block that passes still costs a banded DP.
+    equal lengths), each in charge order. `same` covers the window positions
+    that lie in a pair already compared equal, and a block inside it is
+    equal, so it is skipped unsliced. Any other block whose start has not
+    reached the oracle at its length is sliced and compared: an equal pair
+    is YES with no leaf call (ED = 0 <= beta) and is added to `same`, an
+    unequal one goes to the oracle, and the first NO is the verdict, with no
+    block decided after it. The first run no longer than beta ends the
+    decision YES, since an aligned block pair is never farther apart than
+    its length. Long blocks go first: on a NO instance they are the
+    likeliest to hold more than beta edits, and on a YES instance their
+    equal pairs cover the shorter blocks inside them.
     """
     read = [
         (length, xv.fetch_blocks(starts, length), yv.fetch_blocks(starts, length))
@@ -259,10 +266,11 @@ def _run_gap_calls(
     ]
     _tally(sum(len(starts) for _, starts in runs))
     settled: dict[int, set[int]] = {}
+    same = bytearray(len(xv))
     for length, xs, ys in sorted(read, key=itemgetter(0), reverse=True):
         if length <= beta:
             break
-        for bx, by in xs.unequal(ys, settled.setdefault(length, set())):
+        for bx, by in xs.unequal(ys, settled.setdefault(length, set()), same):
             if not oracle(bx, by, alpha, beta, rs):
                 return False
     return True

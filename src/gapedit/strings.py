@@ -86,8 +86,9 @@ class View:
 
     def fetch_blocks(self, starts: Sequence[int] | np.ndarray, length: int) -> _Blocks:
         """The sub-ranges [s, s + length) for s in `starts`, all charged to
-        the source when called, in charge order: iterating the handle, or
-        ``unequal``, slices each block only when it is reached."""
+        the source when called, in charge order: iterating the handle
+        slices each block only when it is reached, and ``unequal`` only
+        when it is reached and not known to be equal."""
         return self.source.read_blocks(starts, length, self.start, self.length)
 
 

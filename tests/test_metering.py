@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gapedit.metering import (
     MeteredString,
     RandomStream,
+    _Blocks,
     certify_non_adaptive,
 )
 from gapedit.strings import View
@@ -201,14 +202,16 @@ def test_unequal_yields_the_charged_pairs_that_differ():
     xv, yv = View(xm, 0, 20), View(ym, 2, 20)
     starts = [8, 0, 12, 8, 2, 16]
     xs, ys = xv.fetch_blocks(starts, 4), yv.fetch_blocks(starts, 4)
-    settled = set()
-    got = list(xs.unequal(ys, settled))
+    settled, same = set(), bytearray(20)
+    got = list(xs.unequal(ys, settled, same))
     assert got == [(x[8:12], y[8:12]), (x[0:4], y[0:4]), (x[2:6], y[2:6])]
-    assert settled == {0, 2, 8, 12, 16}  # every start reached, equal or not
-    assert list(xs.unequal(ys, settled)) == []  # a settled start is not sliced again
-    assert list(xs.unequal(ys, {8, 0})) == [(x[2:6], y[2:6])]
+    assert settled == {0, 2, 8}  # every start yielded
+    assert same == bytes(12) + b"\x01" * 8  # the equal pairs at 12 and 16
+    assert list(xs.unequal(ys, settled, same)) == []  # nothing is yielded twice
+    assert list(xs.unequal(ys, {8, 0}, same)) == [(x[2:6], y[2:6])]
+    assert list(xs.unequal(ys, set(), bytearray(20))) == got
     empty = xv.fetch_blocks([], 4)
-    assert list(empty.unequal(yv.fetch_blocks([], 4), settled)) == []
+    assert list(empty.unequal(yv.fetch_blocks([], 4), settled, same)) == []
 
 
 def test_unequal_refuses_reads_of_other_starts_or_size():
@@ -223,15 +226,61 @@ def test_unequal_refuses_reads_of_other_starts_or_size():
         View(y, 0, 16).fetch_blocks([4, 0, 4], 2),  # another size
     )
     for other in others:
-        settled = set()
+        settled, same = set(), bytearray(16)
         with pytest.raises(ValueError):
-            next(xs.unequal(other, settled))
-        assert settled == set()
+            next(xs.unequal(other, settled, same))
+        assert settled == set() and same == bytes(16)
     # the start repeated inside the run is yielded once
-    settled = set()
-    same = View(y, 0, 16).fetch_blocks([4, 0, 4], 3)
-    assert list(xs.unequal(same, settled)) == [([6, 7, 8], [54, 55, 56]), ([2, 3, 4], [50, 51, 52])]
-    assert settled == {0, 4}
+    settled, same = set(), bytearray(16)
+    same_starts = View(y, 0, 16).fetch_blocks([4, 0, 4], 3)
+    assert list(xs.unequal(same_starts, settled, same)) == [
+        ([6, 7, 8], [54, 55, 56]), ([2, 3, 4], [50, 51, 52])
+    ]
+    assert settled == {0, 4} and same == bytes(16)
+
+
+class SliceCounting(list):
+    """A list that counts the slices taken of it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.slices = 0
+
+    def __getitem__(self, key):
+        self.slices += isinstance(key, slice)
+        return super().__getitem__(key)
+
+
+def test_unequal_never_slices_a_block_inside_an_equal_one():
+    # windows at different offsets of x and y, which differ at window
+    # position 13 only: the equal pair [0, 8) covers the blocks inside it,
+    # which are skipped unsliced; a block reaching past the cover is sliced
+    xl = list(range(100, 130))
+    yl = [0, *xl]
+    yl[1 + 3 + 13] += 50
+    xb, yb, size = 3, 4, 20
+    assert [i for i in range(size) if xl[xb + i] != yl[yb + i]] == [13]
+    x, y = SliceCounting(xl), SliceCounting(yl)
+    same, settled = bytearray(size), {}
+
+    def unequal(length, starts):
+        xs, ys = _Blocks(x, xb, length, starts), _Blocks(y, yb, length, starts)
+        x.slices = y.slices = 0
+        got = list(xs.unequal(ys, settled.setdefault(length, set()), same))
+        return got, x.slices
+
+    assert unequal(8, [0, 8, 0]) == ([(xl[11:19], yl[12:20])], 2)
+    assert same == b"\x01" * 8 + bytes(12)
+    assert unequal(4, [4, 0, 2, 4]) == ([], 0)  # inside [0, 8): no slice
+    assert unequal(2, [6, 0, 3]) == ([], 0)
+    # [6, 10) reaches past the cover: sliced, equal, and covered
+    assert unequal(4, [6, 12]) == ([(xl[15:19], yl[16:20])], 2)
+    assert same == b"\x01" * 10 + bytes(10)
+    assert y.slices == 2
+    # a yielded start is settled for its length, and a covered one is
+    # skipped: neither is sliced again
+    assert unequal(4, [12, 12, 6]) == ([], 0)
+    assert unequal(2, [12, 12]) == ([(xl[15:17], yl[16:18])], 1)  # another length
 
 
 def charged_positions(calls):

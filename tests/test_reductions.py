@@ -4,9 +4,10 @@ import hashlib
 import random
 import threading
 from itertools import product
+from operator import itemgetter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapedit import reductions, testers
@@ -554,6 +555,66 @@ def test_leaf_calls_per_main_gap_call_are_pinned(
     assert main_gap(inst, TesterConfig(), RandomStream(seed).child("run")) is verdict
     assert len(calls) == count
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == calls_digest
+
+
+@st.composite
+def gap_call_cases(draw):
+    """(x, y, x offset, y offset, runs, beta) for _run_gap_calls: x and y
+    differ by a few substitutions over a binary alphabet, so many blocks are
+    equal, and the runs take any length at any starts: overlapping and not
+    dyadic, repeated within and across runs, in any order, and several runs
+    of one length, as a level's short tail tiles make."""
+    n = draw(st.integers(1, 48))
+    x = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    diffs = draw(st.sets(st.integers(0, n - 1), max_size=5))
+    y = [v + 2 if i in diffs else v for i, v in enumerate(x)]
+    run = st.integers(1, n).flatmap(
+        lambda l: st.tuples(st.just(l), st.lists(st.integers(0, n - l), min_size=1, max_size=6))
+    )
+    runs = draw(st.lists(run, max_size=8))
+    return x, y, draw(st.integers(0, 3)), draw(st.integers(0, 3)), runs, draw(st.integers(1, 4))
+
+
+def sliced_gap_calls(x, y, runs, beta, leaf):
+    """_run_gap_calls' verdict by brute force: every distinct (length, start)
+    longer than beta is sliced and compared, runs longest first, and each
+    unequal pair goes to `leaf` up to the first NO."""
+    seen = set()
+    for length, starts in sorted(runs, key=itemgetter(0), reverse=True):
+        for s in starts:
+            if length > beta and (length, s) not in seen:
+                seen.add((length, s))
+                bx, by = x[s : s + length], y[s : s + length]
+                if bx != by and not leaf(bx, by):
+                    return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_call_cases())
+def test_run_gap_calls_match_a_reference_that_slices_every_block(case):
+    # the equal cover skips only blocks whose every position lies in a pair
+    # already compared equal: the verdict, the leaf calls and their order are
+    # those of slicing every distinct block, and every planned block is read
+    x, y, x_off, y_off, runs, beta = case
+    n = len(x)
+    xm, ym = MeteredString([9] * x_off + x), MeteredString([8] * y_off + y)
+    calls, want_calls = [], []
+
+    def leaf(bx, by, alpha, beta, rs):
+        calls.append((bx, by))
+        return gap_ed_banded(bx, by, beta) is not EXCEEDS
+
+    def want_leaf(bx, by):
+        want_calls.append((bx, by))
+        return gap_ed_banded(bx, by, beta) is not EXCEEDS
+
+    got = reductions._run_gap_calls(
+        xm.view().sub(x_off, n), ym.view().sub(y_off, n), runs, beta, beta, leaf, RandomStream(0)
+    )
+    assert got == sliced_gap_calls(x, y, runs, beta, want_leaf)
+    assert calls == want_calls
+    assert xm.count == ym.count == sum(l * len(starts) for l, starts in runs)
 
 
 def test_oracle_call_tally_scopes():
