@@ -13,7 +13,14 @@ meters is left out. Which tester runs first alternates from trial to trial,
 so neither always finds the strings in cache after the other. Reads are
 per 2n: read-all reads 2n, so 1.0.
 
-A cell reports the median of each time, the reads of `main` per 2n (its
+A shared host's CPU speed drifts, so each time is also reported at
+reference speed, as perfbench reports tester times: the pure-Python job of
+perfbench's `reference_kernel` is timed just before and just after each
+cell, and the cell's times are scaled by REFERENCE_MS over their mean.
+
+A cell reports the median of each time, raw (`main_ms`, `readall_ms`) and
+scaled (`main_scaled_ms`, `readall_scaled_ms`), the reference times
+(`reference_ns`, before and after), the reads of `main` per 2n (its
 plan depends only on n, the thresholds and the seed), its dispatch tier, and
 the certified truths with the verdicts of `main` that missed them (GAP truth
 takes either verdict). A cell that `main` refuses is recorded as
@@ -21,7 +28,8 @@ UNSUPPORTED with the refusal's reason, and read-all is still timed there.
 
 The run is stored under --label in the --out JSON, next to the runs already
 there, with the git sha of the source tree timed, the Python version and
-nproc; `wins` lists the cells and sides where `main` took less CPU time.
+nproc; `wins` lists the cells and sides where `main` took less scaled
+CPU time.
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ from time import thread_time_ns
 from leaf_grid import git_state  # this script's directory leads sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(1, str(ROOT / "perfbench"))
+from run import REFERENCE_MS, reference_kernel  # noqa: E402  (perfbench/run.py)
+
 LADDER = ROOT / "configs" / "default_ladder.cfg"
 TRIALS = 3
 
@@ -61,6 +72,7 @@ def run_cell(gapedit, config, cell_idx, n, k, c, side) -> dict:
     except testers.UnsupportedRegimeError as exc:
         row["tier"], row["reason"] = "UNSUPPORTED", str(exc)
     fns = {"main": harness.TESTERS["main"], "readall": harness.TESTERS["banded"]}
+    before = reference_kernel()
     main_ns, readall_ns, reads, truths, errors = [], [], [], [], 0
     cell_rs = gapedit.metering.RandomStream(config.seed).child(f"cell-{cell_idx}")
     for t in range(TRIALS):
@@ -81,17 +93,24 @@ def run_cell(gapedit, config, cell_idx, n, k, c, side) -> dict:
             else:
                 readall_ns.append(ns)
                 assert not missed, f"read-all is exact, but erred at {row}"
+    after = reference_kernel()
+    # CPU ns to ms at reference speed, by the Python job as perfbench scales
+    # tester times
+    scale = 2 * REFERENCE_MS[0] / (before[0] + after[0])
     row["truths"] = truths
+    row["reference_ns"] = [before, after]
     row["readall_ms"] = round(statistics.median(readall_ns) / 1e6, 3)
+    row["readall_scaled_ms"] = round(statistics.median(readall_ns) * scale, 3)
     if main_ns:
         row["main_ms"] = round(statistics.median(main_ns) / 1e6, 3)
+        row["main_scaled_ms"] = round(statistics.median(main_ns) * scale, 3)
         row["main_reads_per_2n"] = round(statistics.median(reads) / (2 * n), 4)
         row["main_errors"] = errors
     print(
         f"n=2^{n.bit_length() - 1:<2d} k={k:3d} c={c:g} {side:3s} {row['tier']:11s} "
-        f"main {row.get('main_ms', float('nan')):9.2f} ms "
+        f"main {row.get('main_scaled_ms', float('nan')):9.2f} ms "
         f"({row.get('main_reads_per_2n', float('nan')):7.3f} x 2n)  "
-        f"read-all {row['readall_ms']:7.2f} ms",
+        f"read-all {row['readall_scaled_ms']:7.2f} ms (at reference speed)",
         flush=True,
     )
     return row
@@ -125,12 +144,15 @@ def main() -> int:
         "machine": platform.machine(),
         "config": str(LADDER.relative_to(ROOT)),
         "trials": TRIALS,
-        "time": "median CPU ms of one call (thread_time_ns), meters built outside the timing",
+        "time": "median CPU ms of one call (thread_time_ns), meters built outside the timing;"
+        " *_scaled_ms at reference speed (perfbench's REFERENCE_MS[0] over the mean"
+        " Python reference time before and after the cell)",
+        "reference_ms": list(REFERENCE_MS),
         "rows": rows,
         "wins": [
             f"n={r['n']} k={r['k']} c={r['c']:g} {r['side']}"
             for r in rows
-            if "main_ms" in r and r["main_ms"] < r["readall_ms"]
+            if "main_scaled_ms" in r and r["main_scaled_ms"] < r["readall_scaled_ms"]
         ],
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -184,9 +184,9 @@ def _int64_index(p) -> int:
 
 
 class _Blocks:
-    """The blocks [s, s + size) of a window of `data`, at the starts that
-    `read_blocks` charged, in charge order: a handle takes no start, and
-    slices each block only when it is reached."""
+    """The blocks [s, s + size) of a window of `data` at the starts that
+    `read_blocks` charged, as a sequence in charge order: `handle[i]` slices
+    the i-th charged block, and no block that was not charged can be."""
 
     __slots__ = ("_data", "_offset", "_size", "_starts")
 
@@ -196,41 +196,23 @@ class _Blocks:
         # caller's starts change later
         self._starts = list(starts)
 
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i: int) -> list[int]:
+        begin = self._offset + self._starts[i]
+        return self._data[begin : begin + self._size]
+
     def __iter__(self) -> Iterator[list[int]]:
         data, begin, end = self._data, self._offset, self._offset + self._size
         return (data[begin + s : end + s] for s in self._starts)
 
-    def unequal(
-        self, other: "_Blocks", settled: set[int], same: bytearray
-    ) -> Iterator[tuple[list[int], list[int]]]:
-        """(this block, other's block) at each charged start where the two
-        reads' blocks differ, in charge order, each start once.
-
-        `same` covers the window: a 1 at position i means that x[i] == y[i]
-        is known, as i lies in a pair already compared equal. A block whose
-        every position is covered is equal and is skipped unsliced; a block
-        that compares equal is covered with one slice assignment. `settled`
-        holds the starts of this size already yielded, and each start
-        yielded joins it, so a differing block is yielded once however often
-        it was charged. Two reads that charged different starts or a
-        different size raise ValueError before any block is sliced."""
-        if self._size != other._size or self._starts != other._starts:
-            raise ValueError("unequal pairs two reads of the same starts and size")
-        x, xb, y, yb, size = self._data, self._offset, other._data, other._offset, self._size
-        ones = b"\x01" * size
-        for s in self._starts:
-            if s in settled or same.find(0, s, s + size) < 0:
-                continue
-            bx, by = x[xb + s : xb + s + size], y[yb + s : yb + s + size]
-            if bx == by:
-                same[s : s + size] = ones
-            else:
-                settled.add(s)
-                yield bx, by
-
 
 class MeteredString:
     """Read-only character source that counts (and optionally logs) every access.
+
+    It charges reads and slices the blocks it charged, and decides nothing:
+    the block reductions compare their pairs in `reductions._run_gap_calls`.
 
     ``read_many`` gathers from a numpy mirror of the symbols, built on its
     first call (``_mirror``: int64 unless a symbol is beyond int64). Distinct
@@ -271,8 +253,8 @@ class MeteredString:
         self, positions: Sequence[int] | np.ndarray, start: int = 0, length: Optional[int] = None
     ) -> np.ndarray:
         """The symbols at `positions` of the window [start, start + length)
-        (default: the whole string), which lies inside the string as a View's
-        does, gathered as one array in the order given.
+        (default: from start to the end of the string), which lies inside the
+        string as a View's does, gathered as one array in the order given.
 
         Positions are ints, as a list index takes them: a float or a str
         raises TypeError. A position outside the window, an int beyond int64
@@ -283,7 +265,7 @@ class MeteredString:
         if data is None:
             data = self._array = _mirror(self._data)
         if length is None:
-            length = len(data)
+            length = len(data) - start
         if isinstance(positions, np.ndarray) and positions.dtype == np.int64:
             pos = positions
         else:
@@ -310,18 +292,20 @@ class MeteredString:
         length: Optional[int] = None,
     ) -> _Blocks:
         """The blocks [s, s + size) for s in `starts` of the window
-        [start, start + length) (default: the whole string), as in read_many.
+        [start, start + length) (default: from start to the end of the
+        string), as in read_many.
 
         Starts are ints, as a slice takes them: a float or a str raises
         TypeError, and an integer array is read as its ints. A block outside
         the window raises IndexError. The call charges every block (count,
         log in the order given, and distinct positions) before it returns,
-        and a refused call charges nothing. It returns the charged blocks in
-        charge order, unsliced: a block is sliced only when reached.
+        and a refused call charges nothing. It returns the charged blocks as
+        a sequence in charge order, unsliced: a block is sliced only when
+        indexed or reached.
         """
         data = self._data
         if length is None:
-            length = len(data)
+            length = len(data) - start
         if isinstance(starts, np.ndarray):
             starts = starts.tolist()  # ints, or floats that the check below refuses
         # a float anywhere makes the sum a float, and a str makes it raise:

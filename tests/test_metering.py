@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapedit.metering import (
-    MeteredString,
-    RandomStream,
-    _Blocks,
-    certify_non_adaptive,
-)
+from gapedit.metering import MeteredString, RandomStream, certify_non_adaptive
 from gapedit.strings import View
 
 
@@ -193,94 +188,58 @@ def test_read_blocks_takes_integer_arrays():
     assert list(MeteredString(range(4)).read_blocks(np.array([], dtype=np.int64), 2)) == []
 
 
-def test_unequal_yields_the_charged_pairs_that_differ():
-    # x and y differ at 3 and 11 only; windows with different offsets pair
-    # their blocks by window-relative start, in charge order
-    x = list(range(100, 120))
-    y = [v + 50 if i in (3, 11) else v for i, v in enumerate(x)]
-    xm, ym = MeteredString(x), MeteredString([0, 0, *y])
-    xv, yv = View(xm, 0, 20), View(ym, 2, 20)
-    starts = [8, 0, 12, 8, 2, 16]
-    xs, ys = xv.fetch_blocks(starts, 4), yv.fetch_blocks(starts, 4)
-    settled, same = set(), bytearray(20)
-    got = list(xs.unequal(ys, settled, same))
-    assert got == [(x[8:12], y[8:12]), (x[0:4], y[0:4]), (x[2:6], y[2:6])]
-    assert settled == {0, 2, 8}  # every start yielded
-    assert same == bytes(12) + b"\x01" * 8  # the equal pairs at 12 and 16
-    assert list(xs.unequal(ys, settled, same)) == []  # nothing is yielded twice
-    assert list(xs.unequal(ys, {8, 0}, same)) == [(x[2:6], y[2:6])]
-    assert list(xs.unequal(ys, set(), bytearray(20))) == got
-    empty = xv.fetch_blocks([], 4)
-    assert list(empty.unequal(yv.fetch_blocks([], 4), settled, same)) == []
-
-
-def test_unequal_refuses_reads_of_other_starts_or_size():
-    # two reads pair only when they charged the same starts and size: a
-    # mismatch raises before any block is sliced or any start settled
-    x, y = MeteredString(range(20)), MeteredString(range(50, 70))
-    xs = View(x, 2, 16).fetch_blocks([4, 0, 4], 3)
-    others = (
-        View(y, 0, 16).fetch_blocks([4, 0], 3),  # a start fewer
-        View(y, 0, 16).fetch_blocks([0, 4, 4], 3),  # the same starts reordered
-        View(y, 0, 16).fetch_blocks([4, 0, 8], 3),  # another start
-        View(y, 0, 16).fetch_blocks([4, 0, 4], 2),  # another size
-    )
-    for other in others:
-        settled, same = set(), bytearray(16)
-        with pytest.raises(ValueError):
-            next(xs.unequal(other, settled, same))
-        assert settled == set() and same == bytes(16)
-    # the start repeated inside the run is yielded once
-    settled, same = set(), bytearray(16)
-    same_starts = View(y, 0, 16).fetch_blocks([4, 0, 4], 3)
-    assert list(xs.unequal(same_starts, settled, same)) == [
-        ([6, 7, 8], [54, 55, 56]), ([2, 3, 4], [50, 51, 52])
-    ]
-    assert settled == {0, 4} and same == bytes(16)
-
-
 class SliceCounting(list):
-    """A list that counts the slices taken of it."""
+    """A list that records the slices taken of it, as (start, stop) pairs."""
 
     def __init__(self, data):
         super().__init__(data)
-        self.slices = 0
+        self.slices = []
 
     def __getitem__(self, key):
-        self.slices += isinstance(key, slice)
+        if isinstance(key, slice):
+            self.slices.append((key.start, key.stop))
         return super().__getitem__(key)
 
 
-def test_unequal_never_slices_a_block_inside_an_equal_one():
-    # windows at different offsets of x and y, which differ at window
-    # position 13 only: the equal pair [0, 8) covers the blocks inside it,
-    # which are skipped unsliced; a block reaching past the cover is sliced
-    xl = list(range(100, 130))
-    yl = [0, *xl]
-    yl[1 + 3 + 13] += 50
-    xb, yb, size = 3, 4, 20
-    assert [i for i in range(size) if xl[xb + i] != yl[yb + i]] == [13]
-    x, y = SliceCounting(xl), SliceCounting(yl)
-    same, settled = bytearray(size), {}
+def test_block_handles_index_the_charged_blocks():
+    # handle[i] slices the i-th charged block, in charge order, through a
+    # View with an offset; reading slices nothing, and an index past the
+    # last charged block raises IndexError and charges nothing
+    ms = MeteredString(range(100, 120), log=True)
+    data = ms._data = SliceCounting(ms._data)
+    blocks = View(ms, 5, 12).fetch_blocks([6, 0, 6, 3], 4)
+    assert data.slices == [] and len(blocks) == 4
+    assert blocks[3] == [108, 109, 110, 111] and data.slices == [(8, 12)]
+    assert [blocks[i] for i in range(4)] == list(blocks) == [
+        [111, 112, 113, 114], [105, 106, 107, 108], [111, 112, 113, 114], [108, 109, 110, 111]
+    ]
+    assert blocks[-4] == blocks[0]
+    empty = ms.read_blocks([], 4)
+    assert len(empty) == 0 and list(empty) == []
+    for handle, past in ((blocks, 4), (empty, 0)):
+        with pytest.raises(IndexError):
+            handle[past]
+    assert ms.count == 16 and ms.log == [*range(11, 15), *range(5, 9), *range(11, 15), *range(8, 12)]
 
-    def unequal(length, starts):
-        xs, ys = _Blocks(x, xb, length, starts), _Blocks(y, yb, length, starts)
-        x.slices = y.slices = 0
-        got = list(xs.unequal(ys, settled.setdefault(length, set()), same))
-        return got, x.slices
 
-    assert unequal(8, [0, 8, 0]) == ([(xl[11:19], yl[12:20])], 2)
-    assert same == b"\x01" * 8 + bytes(12)
-    assert unequal(4, [4, 0, 2, 4]) == ([], 0)  # inside [0, 8): no slice
-    assert unequal(2, [6, 0, 3]) == ([], 0)
-    # [6, 10) reaches past the cover: sliced, equal, and covered
-    assert unequal(4, [6, 12]) == ([(xl[15:19], yl[16:20])], 2)
-    assert same == b"\x01" * 10 + bytes(10)
-    assert y.slices == 2
-    # a yielded start is settled for its length, and a covered one is
-    # skipped: neither is sliced again
-    assert unequal(4, [12, 12, 6]) == ([], 0)
-    assert unequal(2, [12, 12]) == ([(xl[15:17], yl[16:18])], 1)  # another length
+def test_default_window_runs_from_start_to_the_end_of_the_string():
+    # with no length the window is [start, len): a read past its end is
+    # refused before anything is charged, with or without distinct marks
+    for track in (False, True):
+        ms = MeteredString(range(10), log=True, track_distinct=track)
+        for read in (
+            lambda: ms.read_many([7], start=5),
+            lambda: ms.read_blocks([6], 3, start=5),
+            lambda: ms.read_blocks([3], 3, start=5),
+        ):
+            with pytest.raises(IndexError):
+                read()
+        assert ms.count == 0 and ms.log == []
+        assert not track or ms.distinct_count() == 0
+        assert ms.read_many([4, 0], start=5).tolist() == [9, 5]
+        assert list(ms.read_blocks([2], 3, start=5)) == [[7, 8, 9]]
+        assert ms.count == 5 and ms.log == [9, 5, 7, 8, 9]
+        assert not track or ms.distinct_count() == 4
 
 
 def charged_positions(calls):

@@ -38,6 +38,7 @@ from gapedit.reductions import (
 )
 from gapedit.strings import EXCEEDS, GapInstance, as_view, ed_exact, gap_ed_banded
 from gapedit.testers import TesterConfig, main_gap, one_sided_passes, reps_any
+from test_metering import SliceCounting
 
 
 def rand_list(seed, n, alphabet):
@@ -615,6 +616,42 @@ def test_run_gap_calls_match_a_reference_that_slices_every_block(case):
     assert got == sliced_gap_calls(x, y, runs, beta, want_leaf)
     assert calls == want_calls
     assert xm.count == ym.count == sum(l * len(starts) for l, starts in runs)
+
+
+def test_run_gap_calls_never_slice_a_block_inside_an_equal_one():
+    # x and y windows at offsets 3 and 4 differ at window position 13 only.
+    # The equal pair [0, 8) covers the blocks inside it, which are never
+    # sliced; a block reaching past the cover is sliced, found equal and
+    # covered; an unequal start reaches the leaf once per length, however
+    # often it is planned
+    xl = list(range(100, 130))
+    yl = [0, *xl]
+    yl[1 + 3 + 13] += 50
+    assert [i for i in range(20) if xl[3 + i] != yl[4 + i]] == [13]
+    xm, ym = MeteredString(xl), MeteredString(yl)
+    x, y = xm._data, ym._data = SliceCounting(xl), SliceCounting(yl)
+    xv, yv = xm.view().sub(3, 20), ym.view().sub(4, 20)
+    calls = []
+
+    def leaf(bx, by, alpha, beta, rs):
+        calls.append((bx, by))
+        return True
+
+    runs = [(2, [6, 0, 3]), (8, [0, 8, 0]), (4, [4, 0, 2, 4]), (4, [6, 12]), (2, [12, 12]),
+            (4, [12, 12, 6])]
+    assert reductions._run_gap_calls(xv, yv, runs, 1, 1, leaf, RandomStream(0))
+    # longest first: [0, 8) equal and [8, 16) unequal; at length 4, [6, 10)
+    # equal and [12, 16) unequal; at length 2, [12, 14) unequal
+    sliced = [(0, 8), (8, 16), (6, 10), (12, 16), (12, 14)]
+    assert x.slices == [(3 + a, 3 + b) for a, b in sliced]
+    assert y.slices == [(4 + a, 4 + b) for a, b in sliced]
+    assert calls == [(xl[11:19], yl[12:20]), (xl[15:19], yl[16:20]), (xl[15:17], yl[16:18])]
+    assert xm.count == ym.count == sum(l * len(starts) for l, starts in runs) == 70
+    # a run with no starts reads, slices and calls nothing
+    calls.clear()
+    x.slices.clear()
+    assert reductions._run_gap_calls(xv, yv, [(4, [])], 1, 1, leaf, RandomStream(0))
+    assert calls == [] and x.slices == [] and xm.count == 70
 
 
 def test_oracle_call_tally_scopes():
