@@ -183,29 +183,39 @@ def _int64_index(p) -> int:
     return i if -(1 << 63) <= i < 1 << 63 else -1
 
 
+def _int64_positions(positions: Sequence[int] | np.ndarray) -> np.ndarray:
+    """`positions` as an int64 array: an int64 array as given, anything else
+    through `_int64_index`, so a float or a str raises TypeError and an int
+    beyond int64 becomes -1, outside any window."""
+    if isinstance(positions, np.ndarray) and positions.dtype == np.int64:
+        return positions
+    return np.fromiter(map(_int64_index, positions), dtype=np.int64)
+
+
 class _Blocks:
     """The blocks [s, s + size) of a window of `data` at the starts that
     `read_blocks` charged, as a sequence in charge order: `handle[i]` slices
-    the i-th charged block, and no block that was not charged can be."""
+    the i-th charged block, and no block that was not charged can be. The
+    starts are kept as an int64 array, a copy of the one charged."""
 
     __slots__ = ("_data", "_offset", "_size", "_starts")
 
-    def __init__(self, data: list[int], offset: int, size: int, starts: Sequence[int]):
+    def __init__(self, data: list[int], offset: int, size: int, starts: np.ndarray):
         self._data, self._offset, self._size = data, offset, size
         # a copy, so that the blocks handed out are those charged even if the
         # caller's starts change later
-        self._starts = list(starts)
+        self._starts = starts.copy()
 
     def __len__(self) -> int:
         return len(self._starts)
 
     def __getitem__(self, i: int) -> list[int]:
-        begin = self._offset + self._starts[i]
+        begin = self._offset + self._starts.item(i)
         return self._data[begin : begin + self._size]
 
     def __iter__(self) -> Iterator[list[int]]:
         data, begin, end = self._data, self._offset, self._offset + self._size
-        return (data[begin + s : end + s] for s in self._starts)
+        return (data[begin + s : end + s] for s in self._starts.tolist())
 
 
 class MeteredString:
@@ -266,10 +276,7 @@ class MeteredString:
             data = self._array = _mirror(self._data)
         if length is None:
             length = len(data) - start
-        if isinstance(positions, np.ndarray) and positions.dtype == np.int64:
-            pos = positions
-        else:
-            pos = np.fromiter(map(_int64_index, positions), dtype=np.int64)
+        pos = _int64_positions(positions)
         # through the unsigned view a negative position reads as >= 2^63, so
         # one comparison checks both bounds
         outside = pos.view(np.uint64) >= length
@@ -295,37 +302,38 @@ class MeteredString:
         [start, start + length) (default: from start to the end of the
         string), as in read_many.
 
-        Starts are ints, as a slice takes them: a float or a str raises
-        TypeError, and an integer array is read as its ints. A block outside
-        the window raises IndexError. The call charges every block (count,
-        log in the order given, and distinct positions) before it returns,
-        and a refused call charges nothing. It returns the charged blocks as
-        a sequence in charge order, unsliced: a block is sliced only when
+        Starts are ints, as in read_many: a float or a str raises TypeError,
+        an integer array is read as its ints, and an int64 array is used as
+        given, with no conversion. A block outside the window raises
+        IndexError. The starts are checked and marked with whole-array
+        operations: one comparison for the bounds and one write for the
+        distinct marks. The call charges every block (count, log in the
+        order given, and distinct positions) before it returns, and a
+        refused call charges nothing. It returns the charged blocks as a
+        sequence in charge order, unsliced: a block is sliced only when
         indexed or reached.
         """
         data = self._data
         if length is None:
             length = len(data) - start
-        if isinstance(starts, np.ndarray):
-            starts = starts.tolist()  # ints, or floats that the check below refuses
-        # a float anywhere makes the sum a float, and a str makes it raise:
-        # one C-level pass, where a per-start operator.index costs 4x as much
-        operator.index(sum(starts))
-        if size < 0 or (len(starts) and (min(starts) < 0 or max(starts) + size > length)):
+        pos = _int64_positions(starts)
+        # through the unsigned view a negative start reads as >= 2^63, so one
+        # comparison checks both ends of every block
+        if size < 0 or (pos.size and int(pos.view(np.uint64).max()) > length - size):
             raise IndexError(f"read_blocks of length {size} out of bounds [0, {length})")
-        self.count += size * len(starts)
+        self.count += size * pos.size
         if self._log is not None:
             log = self._log
-            for s in starts:
+            for s in pos.tolist():
                 log.extend(range(start + s, start + s + size))
-        if self._touched is not None and len(starts):
+        if self._touched is not None and pos.size:
             # row s of this view of the window is the block [s, s + size):
             # one fancy-index write marks every block
             rows = np.ndarray(
                 (length - size + 1, size), np.uint8, self._touched, start, (1, 1)
             )
-            rows[np.fromiter(starts, np.intp, len(starts))] = 1
-        return _Blocks(data, start, size, starts)
+            rows[pos] = 1
+        return _Blocks(data, start, size, pos)
 
     def read_range(self, start: int, length: int) -> list[int]:
         """The block [start, start + length): the one-start case of `read_blocks`."""

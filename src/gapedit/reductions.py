@@ -6,8 +6,11 @@ a pure function of (n, parameters, seed). Deciding may stop once the verdict
 is fixed. A plan is a list of runs, with one draw per plan: one
 `uniform_parts` call gives every level's block starts, and each level's
 starts form a (length, starts) run, split only where the level's short last
-tile is drawn. A reduction answers with verdicts: a bool, or one bool per
-member of a batch.
+tile is drawn. A run's starts stay an int64 array from the draw to the
+meter, which checks and marks a whole run with array operations; code that
+walks the starts one by one converts them to ints once, where it walks
+them. A reduction answers with verdicts: a bool, or one bool per member of
+a batch.
 
 The one-pair block reductions (single-level, multi-level) read first and
 decide second. Each run is read with one call per string, x first, in plan
@@ -60,6 +63,8 @@ from math import isqrt
 from operator import itemgetter
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .intmath import ceil_div, ceil_log2, floor_log2_ratio
 from .metering import RandomStream
 from .strings import EXCEEDS, View, ed_exact, gap_ed_banded
@@ -72,7 +77,9 @@ class ParameterError(ValueError):
 GapOracle = Callable[[Sequence[int], Sequence[int], int, int, RandomStream], bool]
 BatchOracle = Callable[..., list[bool]]  # see the module docstring
 PlanOracle = Callable[..., list[list[bool]]]  # gap_to_shifted's; see the module docstring
-Run = tuple[int, list[int]]  # (length, starts) of consecutive equal-length planned blocks
+# (length, starts) of consecutive equal-length planned blocks: the starts are
+# an int64 array, as drawn, and stay one from the draw to the meter
+Run = tuple[int, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +148,7 @@ def per_member(oracle: Callable[..., bool]) -> BatchOracle:
 def per_block(oracle: BatchOracle) -> PlanOracle:
     """Lift a batch oracle to a plan oracle: one call per planned window, in run order."""
     return lambda batch, runs, *args: [
-        oracle(batch.sub(s, length), *args) for length, starts in runs for s in starts
+        oracle(batch.sub(s, length), *args) for length, starts in runs for s in starts.tolist()
     ]
 
 
@@ -273,7 +280,7 @@ def _run_gap_calls(
         sent: set[int] = set()
         ones = b"\x01" * length
         for _, starts, xs, ys in group:
-            for i, s in enumerate(starts):
+            for i, s in enumerate(starts.tolist()):
                 if s in sent or same.find(0, s, s + length) < 0:
                     continue
                 bx, by = xs[i], ys[i]
@@ -286,15 +293,17 @@ def _run_gap_calls(
     return True
 
 
-def _tile_runs(n: int, size: int, starts: list[int]) -> list[Run]:
-    """The tiles [s, s + size) of [0..n) at `starts`, in order, as runs of
-    equal length. Only the last tile is shorter, so a run is split only
-    where that tile was drawn."""
+def _tile_runs(n: int, size: int, starts: np.ndarray) -> list[Run]:
+    """The tiles [s, s + size) of [0..n) at `starts`, an int64 array, in
+    order, as runs of equal length. Only the last tile is shorter, so a run
+    is split only where that tile was drawn; each run's starts are a slice
+    of `starts`."""
     short = n % size
     if not short:
         return [(size, starts)]
     tail = n - short
-    return [(short if last else size, list(run)) for last, run in groupby(starts, tail.__eq__)]
+    cuts = np.flatnonzero(np.diff(starts == tail)) + 1
+    return [(short if run[0] == tail else size, run) for run in np.split(starts, cuts) if len(run)]
 
 
 def _draw_runs(n: int, tilings: list[tuple[int, int]], rs: RandomStream) -> list[Run]:
@@ -303,13 +312,15 @@ def _draw_runs(n: int, tilings: list[tuple[int, int]], rs: RandomStream) -> list
 
     One draw per plan: every tiling's tile indices come from one
     `uniform_parts` call, which gives the values and final state of one
-    `uniform_indices` call per tiling.
+    `uniform_indices` call per tiling. A tiling's starts stay the drawn
+    array, viewed as int64 (they lie below n), so a plan's starts reach the
+    meter as int64 arrays with no conversion.
     """
     drawn = rs.uniform_parts([(ceil_div(n, size), count, size) for size, count in tilings])
     return [
         run
         for (size, _), starts in zip(tilings, drawn)
-        for run in _tile_runs(n, size, starts.tolist())
+        for run in _tile_runs(n, size, starts.view(np.int64))
     ]
 
 

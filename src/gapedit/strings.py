@@ -88,7 +88,9 @@ class View:
         """The sub-ranges [s, s + length) for s in `starts`, all charged to
         the source when called, as a sequence in charge order: the source
         slices a block only when it is indexed or reached, and comparing
-        blocks is the caller's job."""
+        blocks is the caller's job. An int64 array of starts, as a plan's
+        runs hold them, is checked and marked with whole-array operations,
+        with no conversion."""
         return self.source.read_blocks(starts, length, self.start, self.length)
 
 

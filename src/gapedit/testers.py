@@ -30,10 +30,11 @@ written, so the h=1 and h=2 shifted paths, the baseline and main's reduce
 tier call ``shifted_to_gap`` directly with their own grid spread.
 ``_batched_gap_via_shifted`` is the one gap->shifted pass, which h1, h2,
 the baseline and main's recursion tier amplify with ``_majority_votes``.
-A pass's plan is a list of (length, starts) runs: h1 hands it to
-``batched_shifted_h0`` whole; the others decide block by block through
-``per_block``. A whole string is the one-block plan ``[(n, [0])]``. The
-one-instance testers join a batch through ``_each``, member by member.
+A pass's plan is a list of (length, starts) runs, each run's starts an
+int64 array: h1 hands it to ``batched_shifted_h0`` whole; the others decide
+block by block through ``per_block``. A whole string is the one-block plan
+``_whole(n)``. The one-instance testers join a batch through ``_each``,
+member by member.
 
 Every tester reads all the positions it plans, in every repetition,
 whatever the symbols read, so its read sequence depends only on
@@ -191,6 +192,11 @@ def _h0_rows(
     return rows
 
 
+def _whole(n: int) -> list[Run]:
+    """The one-block plan of a whole string of length n."""
+    return [(n, np.zeros(1, np.int64))]
+
+
 def batched_shifted_h0(
     batch: Batch,
     runs: Sequence[Run],
@@ -243,7 +249,7 @@ def batched_shifted_h0(
             if sampled:
                 rows += _h0_rows(batch, sampled, xs, ys_off)
                 sampled = []
-            for s in starts:
+            for s in starts.tolist():
                 sub = batch.sub(s, length)
                 rows.append(
                     [exact_shifted_oracle(sub.x, y, alpha, beta, 0, delta, rs) for y in sub.ys]
@@ -252,7 +258,7 @@ def batched_shifted_h0(
         _tally(calls * len(starts))
         # the draws lie below length - beta, so their int64 view reads the same values
         samples = next(drawn).view(np.int64).reshape(-1, m)
-        sampled.append((np.array(starts, dtype=np.int64), samples))
+        sampled.append((starts, samples))
     if sampled:
         rows += _h0_rows(batch, sampled, xs, ys_off)
     return rows
@@ -415,7 +421,7 @@ def batched_shifted_h1(
     if not (alpha >= beta >= gamma >= 0):
         raise ParameterError("need alpha >= beta >= gamma >= 0")
     if gamma == 0:
-        return batched_shifted_h0(batch, [(n, [0])], alpha, beta, delta, rs)[0]
+        return batched_shifted_h0(batch, _whole(n), alpha, beta, delta, rs)[0]
     admit(n, alpha, 3 * gamma, 1)
     gbar, xi = h1_shifted_params(n, alpha, beta, batch.q)
     assert baseline_gap_gate(n, alpha, 3 * gbar, 1), "raised gamma keeps the h=1 gap gate valid"
@@ -566,7 +572,7 @@ def main_shifted(inst: ShiftedInstance, cfg: TesterConfig, rs: RandomStream) -> 
     n, alpha, beta, gamma = inst.n, inst.alpha, inst.beta, inst.gamma
     tier = plan_shifted_dispatch(n, alpha, beta, gamma)
     if tier[0] == "h0":
-        [[yes]] = batched_shifted_h0(single(inst.x, inst.y), [(n, [0])], alpha, beta, cfg.delta, rs)
+        [[yes]] = batched_shifted_h0(single(inst.x, inst.y), _whole(n), alpha, beta, cfg.delta, rs)
         return yes
     if tier[0] == "h1s":
         return batched_shifted_h1(

@@ -53,6 +53,7 @@ from gapedit.testers import (
     main_shifted,
     single,
 )
+from test_reductions import int64_runs
 
 E_INV = 1 / math.e
 
@@ -211,8 +212,8 @@ def _certify_grid():
 
     def h0(alpha, beta, q, delta):
         return lambda xm, ym, rs: batched_shifted_h0(
-            Batch(xm.view(), tuple(ym.view() for _ in range(q))), [(len(xm), [0])], alpha, beta,
-            delta, rs,
+            Batch(xm.view(), tuple(ym.view() for _ in range(q))), int64_runs((len(xm), [0])),
+            alpha, beta, delta, rs,
         )[0]
 
     def h1(alpha, beta, q, delta):
@@ -404,14 +405,14 @@ def test_criterion_8_batched_common_string_reads():
 
     xm = MeteredString(x)
     batch = Batch(xm.view(), tuple(as_view(y) for y in ys))
-    batched_shifted_h0(batch, [(n, [0])], alpha, beta, delta, RandomStream(1))
+    batched_shifted_h0(batch, int64_runs((n, [0])), alpha, beta, delta, RandomStream(1))
     batched_reads = xm.count
 
     single_reads = 0
     for rep in range(2):
         xm1 = MeteredString(x)
         batched_shifted_h0(
-            Batch(xm1.view(), (as_view(ys[rep]),)), [(n, [0])], alpha, beta, delta,
+            Batch(xm1.view(), (as_view(ys[rep]),)), int64_runs((n, [0])), alpha, beta, delta,
             RandomStream(2 + rep),
         )
         single_reads += xm1.count

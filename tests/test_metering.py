@@ -1,5 +1,7 @@
 """Metered access, seeded randomness, and the non-adaptivity certifier."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -157,22 +159,25 @@ def test_read_blocks_takes_integer_starts_only():
     assert list(ms.read_blocks((np.uint64(3), True), 1)) == [[3], [1]]
     assert ms.log == [7, 8, 4, 5, 3, 1]
     # the blocks handed out are the ones charged, whatever the caller's
-    # starts list becomes afterwards
-    starts = [0]
-    blocks = ms.read_blocks(starts, 2)
-    starts[0] = 14
-    assert list(blocks) == [[0, 1]] and ms.log[-2:] == [0, 1]
+    # starts list or array becomes afterwards
+    for starts in ([0, 5], np.array([0, 5], dtype=np.int64), np.array([0, 5], dtype=np.uint64)):
+        blocks = ms.read_blocks(starts, 2)
+        starts[0] = 14
+        assert list(blocks) == [[0, 1], [5, 6]] and blocks[0] == [0, 1]
+        assert ms.log[-4:] == [0, 1, 5, 6]
 
 
 def test_read_blocks_takes_integer_arrays():
-    # an integer array reads as the list of its ints, through a View with an
-    # offset too; a float array is refused before anything is charged
-    for offset in (0, 5):
+    # an integer array of any width or sign reads as the list of its ints,
+    # through a View with an offset too; a float array, a start outside the
+    # window (a negative int64 one, or a uint64 one of 2^63 or more, which
+    # an int64 view would read as negative) are refused, charging nothing
+    for offset, dtype in product((0, 5), (np.int32, np.int64, np.uint64)):
         by_list, by_array = (
             MeteredString(range(100, 120), log=True, track_distinct=True) for _ in "ab"
         )
         listed = list(View(by_list, offset, 10).fetch_blocks([3, 0], 4))
-        arrayed = View(by_array, offset, 10).fetch_blocks(np.array([3, 0], dtype=np.int32), 4)
+        arrayed = View(by_array, offset, 10).fetch_blocks(np.array([3, 0], dtype=dtype), 4)
         assert list(arrayed) == listed
         assert listed == [
             list(range(103 + offset, 107 + offset)), list(range(100 + offset, 104 + offset))
@@ -182,8 +187,17 @@ def test_read_blocks_takes_integer_arrays():
         )
         with pytest.raises(TypeError):
             View(by_array, offset, 10).fetch_blocks(np.array([3.0, 0.0]), 4)
-        with pytest.raises(IndexError):
-            View(by_array, offset, 10).fetch_blocks(np.array([7, 0], dtype=np.int64), 4)
+        refused = [np.array([7, 0], dtype=dtype)]
+        if dtype == np.uint64:
+            refused += [np.array([0, 2**63], dtype=dtype), np.array([2**64 - 1], dtype=dtype)]
+        else:
+            refused += [np.array([0, -1], dtype=dtype), np.array([-(2**31)], dtype=dtype)]
+        for starts in refused:
+            with pytest.raises(IndexError, match=r"out of bounds \[0, 10\)"):
+                View(by_array, offset, 10).fetch_blocks(starts, 4)
+        for starts in refused[1:]:
+            with pytest.raises(IndexError, match=r"out of bounds \[0, 20\)"):
+                by_array.read_blocks(starts, 1)
         assert (by_array.count, by_array.log, by_array.distinct_count()) == (8, by_list.log, 7)
     assert list(MeteredString(range(4)).read_blocks(np.array([], dtype=np.int64), 2)) == []
 

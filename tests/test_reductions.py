@@ -3,9 +3,10 @@
 import hashlib
 import random
 import threading
-from itertools import product
+from itertools import groupby, product
 from operator import itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,11 @@ from gapedit.reductions import (
 from gapedit.strings import EXCEEDS, GapInstance, as_view, ed_exact, gap_ed_banded
 from gapedit.testers import TesterConfig, main_gap, one_sided_passes, reps_any
 from test_metering import SliceCounting
+
+
+def int64_runs(*runs):
+    """(length, starts) runs with their starts as int64 arrays, as plans hold them."""
+    return [(length, np.array(starts, dtype=np.int64)) for length, starts in runs]
 
 
 def rand_list(seed, n, alphabet):
@@ -456,6 +462,33 @@ def nonpower_instance(n):
     return x, y
 
 
+def listed_runs(n, tilings, rs):
+    """The runs of `tilings` as a plan of lists: one uniform_indices call per
+    (size, count), its tiles split by groupby where the short last tile
+    was drawn."""
+    runs = []
+    for size, count in tilings:
+        starts = [i * size for i in rs.uniform_indices(ceil_div(n, size), count)]
+        tail = n - n % size
+        for _, run in groupby(starts, tail.__eq__):
+            run = list(run)
+            runs.append((min(size, n - run[0]), run))
+    return runs
+
+
+def test_tile_runs_split_only_where_the_short_tile_is_drawn():
+    # n = 10, size 4: the short tile starts at 8, first, last, repeated,
+    # alone or not drawn; each run is a slice of the drawn int64 array
+    for starts in ([8], [8, 8], [0, 8], [8, 4], [0, 8, 8, 4, 0, 8], [4, 0], []):
+        drawn = np.array(starts, dtype=np.int64)
+        runs = reductions._tile_runs(10, 4, drawn)
+        want = [(2 if last else 4, list(run)) for last, run in groupby(starts, (8).__eq__)]
+        assert [(l, s.tolist()) for l, s in runs] == want
+        assert all(s.dtype == np.int64 and np.shares_memory(s, drawn) for _, s in runs)
+    drawn = np.array([4, 0], dtype=np.int64)
+    assert reductions._tile_runs(8, 4, drawn) == [(4, drawn)]  # no short tile
+
+
 def short_tile_between_full_ones(blocks):
     lengths = [length for _, length in blocks]
     size = max(lengths)
@@ -500,6 +533,15 @@ def test_non_power_of_two_n_pins_plans_and_outcomes(
     else:
         levels = [single_level_blocks(n, alpha, beta, RandomStream(seed))]
     assert any(map(short_tile_between_full_ones, levels))
+    # the plan of the three-pass call below: int64 arrays, split exactly
+    # where a plan of lists splits, at each drawn short tail tile
+    if reduce is multilevel_reduce:
+        tilings = [(1 << p, iters) for p, iters in multilevel_levels(n, alpha, beta)] * 3
+    else:
+        tilings = [single_level_plan(n, alpha, beta)[::2]] * 3
+    runs = reductions._draw_runs(n, tilings, RandomStream(seed))
+    assert all(starts.dtype == np.int64 for _, starts in runs) and len(runs) > len(tilings)
+    assert [(l, s.tolist()) for l, s in runs] == listed_runs(n, tilings, RandomStream(seed))
 
     def tester(xm, ym, rs):
         reduce(xm.view(), ym.view(), alpha, beta, beta, exact_gap_oracle, rs)
@@ -611,7 +653,8 @@ def test_run_gap_calls_match_a_reference_that_slices_every_block(case):
         return gap_ed_banded(bx, by, beta) is not EXCEEDS
 
     got = reductions._run_gap_calls(
-        xm.view().sub(x_off, n), ym.view().sub(y_off, n), runs, beta, beta, leaf, RandomStream(0)
+        xm.view().sub(x_off, n), ym.view().sub(y_off, n), int64_runs(*runs), beta, beta, leaf,
+        RandomStream(0),
     )
     assert got == sliced_gap_calls(x, y, runs, beta, want_leaf)
     assert calls == want_calls
@@ -637,8 +680,8 @@ def test_run_gap_calls_never_slice_a_block_inside_an_equal_one():
         calls.append((bx, by))
         return True
 
-    runs = [(2, [6, 0, 3]), (8, [0, 8, 0]), (4, [4, 0, 2, 4]), (4, [6, 12]), (2, [12, 12]),
-            (4, [12, 12, 6])]
+    runs = int64_runs((2, [6, 0, 3]), (8, [0, 8, 0]), (4, [4, 0, 2, 4]), (4, [6, 12]),
+                      (2, [12, 12]), (4, [12, 12, 6]))
     assert reductions._run_gap_calls(xv, yv, runs, 1, 1, leaf, RandomStream(0))
     # longest first: [0, 8) equal and [8, 16) unequal; at length 4, [6, 10)
     # equal and [12, 16) unequal; at length 2, [12, 14) unequal
@@ -650,7 +693,7 @@ def test_run_gap_calls_never_slice_a_block_inside_an_equal_one():
     # a run with no starts reads, slices and calls nothing
     calls.clear()
     x.slices.clear()
-    assert reductions._run_gap_calls(xv, yv, [(4, [])], 1, 1, leaf, RandomStream(0))
+    assert reductions._run_gap_calls(xv, yv, int64_runs((4, [])), 1, 1, leaf, RandomStream(0))
     assert calls == [] and x.slices == [] and xm.count == 70
 
 

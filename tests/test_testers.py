@@ -50,6 +50,7 @@ from gapedit.testers import (
     reps_majority,
     single,
 )
+from test_reductions import int64_runs
 
 E_INV = 1 / math.e
 
@@ -127,7 +128,7 @@ def test_h0_identical_batch_all_yes():
     x = rand_sym(3, 256)
     batch = Batch(as_view(x), tuple(as_view(list(x)) for _ in range(6)))
     for seed in range(5):
-        [row] = batched_shifted_h0(batch, [(256, [0])], 32, 8, 0.1, RandomStream(seed))
+        [row] = batched_shifted_h0(batch, int64_runs((256, [0])), 32, 8, 0.1, RandomStream(seed))
         assert row == [True] * 6
 
 
@@ -136,7 +137,7 @@ def test_h0_rotation_yes():
     y = x[-3:] + x[:-3]
     for seed in range(20):
         assert batched_shifted_h0(
-            single(as_view(x), as_view(y)), [(256, [0])], 16, 4, 0.1, RandomStream(seed)
+            single(as_view(x), as_view(y)), int64_runs((256, [0])), 16, 4, 0.1, RandomStream(seed)
         )[0][0]
 
 
@@ -147,7 +148,8 @@ def test_h0_planted_no_rate():
     for t in range(trials):
         x, y = disjoint(2 * t, n)
         if batched_shifted_h0(
-            single(as_view(x), as_view(y)), [(n, [0])], alpha, beta, delta, RandomStream(t)
+            single(as_view(x), as_view(y)), int64_runs((n, [0])), alpha, beta, delta,
+            RandomStream(t),
         )[0][0]:
             wrong += 1
     assert 1 - wrong / trials >= 1 - delta - 0.05
@@ -159,14 +161,14 @@ def test_h0_mixed_batch():
     y_rot = x[-2:] + x[:-2]
     _, y_no = disjoint(50, 256)
     batch = Batch(as_view(x), (as_view(y_eq), as_view(y_rot), as_view(y_no)))
-    [got] = batched_shifted_h0(batch, [(256, [0])], 16, 4, 0.05, RandomStream(8))
+    [got] = batched_shifted_h0(batch, int64_runs((256, [0])), 16, 4, 0.05, RandomStream(8))
     assert got[0] and got[1] and not got[2]
 
 
 def test_h0_degenerate_short():
     x = as_view([1, 2, 3])
     [out] = batched_shifted_h0(
-        Batch(x, (as_view([7, 8, 9]),)), [(3, [0])], 12, 4, 0.1, RandomStream(1)
+        Batch(x, (as_view([7, 8, 9]),)), int64_runs((3, [0])), 12, 4, 0.1, RandomStream(1)
     )
     assert out == [True]  # shift budget >= n empties the windows
 
@@ -197,7 +199,8 @@ def test_h0_batched_vs_unbatched_pipeline_rates():
         for t in range(trials):
             x, y = make_pair(t)
             h0_yes += batched_shifted_h0(
-                single(as_view(x), as_view(y)), [(n, [0])], alpha, beta, delta, RandomStream(t)
+                single(as_view(x), as_view(y)), int64_runs((n, [0])), alpha, beta, delta,
+                RandomStream(t),
             )[0][0]
             pipe_yes += pipeline(as_view(x), as_view(y), RandomStream(t))
         assert abs(h0_yes - pipe_yes) / trials <= 0.07
@@ -228,7 +231,7 @@ def _h0_one_window(batch, alpha, beta, delta, rs):
 
 def _h0_pass(plan_fn, make_batch, alpha, beta, phi, delta, seed):
     """(runs, rows, tally, final stream state, strings) of one gap->shifted
-    pass whose blocks are decided by plan_fn."""
+    pass whose blocks are decided by plan_fn; the runs' starts as lists."""
     batch, strings = make_batch()
     rs = RandomStream(seed)
     seen = []
@@ -241,7 +244,7 @@ def _h0_pass(plan_fn, make_batch, alpha, beta, phi, delta, seed):
     with oracle_call_tally() as box:
         gap_to_shifted(batch, alpha, beta, phi, oracle, rs)
     [(runs, rows)] = seen
-    return runs, rows, box[0], rs._state, strings
+    return [(length, starts.tolist()) for length, starts in runs], rows, box[0], rs._state, strings
 
 
 def _h0_contents(n):
@@ -292,9 +295,10 @@ def test_h0_hand_made_windows_match_window_by_window():
     # second plan splits equal lengths into adjacent runs; the third merges
     # them, and both draw, read and answer alike.
     plans = [
-        [(32, [0, 32]), (11, [990]), (9, [5]), (1, [0]), (10, [991]), (64, [100, 200]), (32, [300])],
-        [(32, [0]), (32, [32, 64]), (9, [5]), (9, [100]), (64, [100]), (64, [200, 0])],
-        [(32, [0, 32, 64]), (9, [5, 100]), (64, [100, 200, 0])],
+        int64_runs((32, [0, 32]), (11, [990]), (9, [5]), (1, [0]), (10, [991]), (64, [100, 200]),
+                   (32, [300])),
+        int64_runs((32, [0]), (32, [32, 64]), (9, [5]), (9, [100]), (64, [100]), (64, [200, 0])),
+        int64_runs((32, [0, 32, 64]), (9, [5, 100]), (64, [100, 200, 0])),
     ]
     x, ys = _h0_contents(1001)
     # moving the nonzero symbols past int64 keeps every equality, so every row
@@ -348,7 +352,7 @@ def test_h0_rejects_bad_thresholds_before_any_read():
     batch = single(xm.view(), xm.view())
     for alpha, beta in ((3, 4), (4, -1)):
         with pytest.raises(ParameterError):
-            batched_shifted_h0(batch, [(4, [0])], alpha, beta, 0.1, RandomStream(1))
+            batched_shifted_h0(batch, int64_runs((4, [0])), alpha, beta, 0.1, RandomStream(1))
     assert xm.count == 0
 
 
@@ -450,7 +454,7 @@ def test_h1_shifted_zero_gamma_delegates_bitwise():
         xm, ym = MeteredString(x, log=True), MeteredString(y, log=True)
         batch = single(xm.view(), ym.view())
         if call_h0:
-            batched_shifted_h0(batch, [(n, [0])], 64, 8, 0.1, RandomStream(5))
+            batched_shifted_h0(batch, int64_runs((n, [0])), 64, 8, 0.1, RandomStream(5))
         else:
             batched_shifted_h1(batch, 64, 8, 0, 0.1, RandomStream(5))
         plans.append((tuple(xm.log), tuple(ym.log)))
