@@ -87,10 +87,11 @@ class View:
     def fetch_blocks(self, starts: Sequence[int] | np.ndarray, length: int) -> _Blocks:
         """The sub-ranges [s, s + length) for s in `starts`, all charged to
         the source when called, as a sequence in charge order: the source
-        slices a block only when it is indexed or reached, and comparing
-        blocks is the caller's job. An int64 array of starts, as a plan's
-        runs hold them, is checked and marked with whole-array operations,
-        with no conversion."""
+        slices a block only when it is indexed, and comparing blocks is the
+        caller's job. The source's one charge routine checks the starts
+        against the view and charges them with whole-array operations; an
+        int64 array of starts, as a plan's runs hold them, is used with no
+        conversion."""
         return self.source.read_blocks(starts, length, self.start, self.length)
 
 

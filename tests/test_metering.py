@@ -88,16 +88,30 @@ def test_block_reads_charge_as_one_read_per_block():
                 single.count, single.log, single.distinct_count()
             )
             assert list(blocks) == expected
-        # out of bounds: the source checks the view's window, or its own;
-        # a refused call charges nothing
+        # out of bounds: the source checks the view's window, or its own,
+        # and names the first bad start as given, then the block length; a
+        # negative length is refused before any start is looked at; a
+        # refused call charges nothing
         charged = (bulk.count, list(bulk.log), bulk.distinct_count())
-        for starts, length in (([0, 12], 8), ([-1], 2), ([0], -1)):
-            with pytest.raises(IndexError, match=r"out of bounds \[0, 19\)"):
+        for starts, length, bad in (
+            ([0, 12], 8, 12), ([-1], 2, -1), ([0], -1, None), ([1.5], -1, None)
+        ):
+            with pytest.raises(IndexError, match=bounds_message(bad, 19, length)):
                 bulk_view.fetch_blocks(starts, length)
-        for starts, length in (([0, 29], 2), ([-1, 3], 1), ([], -1), ([2**64, 0], 1)):
-            with pytest.raises(IndexError, match=r"out of bounds \[0, 30\)"):
+        for starts, length, bad in (
+            ([0, 29], 2, 29), ([-1, 3], 1, -1), ([], -1, None), ([2**64, 0], 1, 2**64)
+        ):
+            with pytest.raises(IndexError, match=bounds_message(bad, 30, length)):
                 bulk.read_blocks(starts, length)
         assert (bulk.count, bulk.log, bulk.distinct_count()) == charged
+
+
+def bounds_message(bad, length, size):
+    """The whole IndexError message of a block read refused at start `bad`
+    of a window of `length`, or, for bad None, for its negative size."""
+    if bad is None:
+        return rf"^read of a block of length {size} out of bounds \[0, {length}\)$"
+    return rf"^read at {bad} out of bounds \[0, {length}\) for a block of length {size}$"
 
 
 def test_read_many_bounds_name_the_first_bad_position():
@@ -200,6 +214,54 @@ def test_read_blocks_takes_integer_arrays():
                 by_array.read_blocks(starts, 1)
         assert (by_array.count, by_array.log, by_array.distinct_count()) == (8, by_list.log, 7)
     assert list(MeteredString(range(4)).read_blocks(np.array([], dtype=np.int64), 2)) == []
+
+
+def charge_state(ms):
+    """What reads have charged to `ms`: its count, log and distinct count."""
+    return ms.count, list(ms.log), ms.distinct_count()
+
+
+@given(
+    st.integers(0, 12),
+    st.one_of(st.none(), st.integers(0, 12)),
+    st.lists(
+        st.tuples(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 15),
+                    st.integers(-(2**70), 2**70),
+                    st.sampled_from([2**63, -(2**63) - 1, 1.5]),
+                ),
+                max_size=8,
+            ),
+            st.booleans(),
+        ),
+        max_size=4,
+    ),
+)
+def test_read_many_and_size_one_blocks_charge_alike(start, length, reads):
+    # read_many(p) and read_blocks(p, 1) over one window, with an offset or
+    # none and the default length or a given one: the same symbols, the same
+    # count, log and distinct marks, and the same refusals, charging nothing
+    if length is not None:
+        length = min(length, 12 - start)
+    gather, blocks = (MeteredString(range(100, 112), log=True, track_distinct=True) for _ in "ab")
+    for positions, as_array in reads:
+        if as_array and all(isinstance(p, int) and -(2**63) <= p < 2**63 for p in positions):
+            positions = np.array(positions, dtype=np.int64)
+        got = []
+        for ms, read in (
+            (gather, lambda p: gather.read_many(p, start, length).tolist()),
+            (blocks, lambda p: [b[0] for b in blocks.read_blocks(p, 1, start, length)]),
+        ):
+            before = charge_state(ms)
+            try:
+                got.append(read(positions))
+            except (IndexError, TypeError) as exc:
+                got.append(type(exc))
+                assert charge_state(ms) == before
+        assert got[0] == got[1]
+        assert charge_state(gather) == charge_state(blocks)
 
 
 class SliceCounting(list):
