@@ -196,8 +196,9 @@ class _Blocks:
     """The blocks [s, s + size) of `data` at the absolute starts that
     `MeteredString._charge` returned, as a sequence in charge order:
     `handle[i]` slices the i-th charged block, and no block that was not
-    charged can be. The starts array is the routine's own, so the blocks
-    handed out are those charged whatever the caller's starts become."""
+    charged can be. The starts array is the handle's own (`read_blocks`
+    copies a caller's array), so the blocks handed out are those charged
+    whatever the caller's starts become."""
 
     __slots__ = ("_data", "_size", "_starts")
 
@@ -256,10 +257,14 @@ class MeteredString:
     ) -> np.ndarray:
         """Charge the blocks [p, p + size) for p in `positions` of the window
         [start, start + length) (default: from start to the end of the
-        string), and return their absolute starts as a fresh int64 array.
+        string), and return their absolute starts as an int64 array: the
+        caller's own when `positions` is an int64 array and start is 0, else
+        a fresh one.
 
         Positions are ints, as a list index takes them (`_int64_positions`):
-        a float or a str raises TypeError. A negative size raises IndexError
+        a float or a str raises TypeError. An iterable that cannot be indexed,
+        such as an iterator, is read into a list once, so that a refusal can
+        name its position. A negative size raises IndexError
         before any position is looked at, and so does, naming the first as
         given, a position outside [0, length - size], an int beyond int64
         too. A refused call charges nothing. Otherwise every block is charged
@@ -271,6 +276,8 @@ class MeteredString:
             length = len(self._data) - start
         if size < 0:
             raise IndexError(f"read of a block of length {size} out of bounds [0, {length})")
+        if not hasattr(positions, "__getitem__"):
+            positions = list(positions)
         pos = _int64_positions(positions)
         if not pos.size:
             return np.zeros(0, np.int64)
@@ -282,10 +289,8 @@ class MeteredString:
             raise IndexError(
                 f"read at {positions[bad]} out of bounds [0, {length}) for a block of length {size}"
             )
-        # fresh either way; at start 0 a copy, which on a run of 60 starts
-        # took 0.2 us against 1.1 us for numpy's add of a Python int (2 vCPU
-        # Xeon)
-        pos = pos + start if start else pos.copy()
+        if start:
+            pos = pos + start
         self.count += size * pos.size
         if self._log is not None:
             self._log.extend((pos[:, None] + np.arange(size)).ravel().tolist())
@@ -338,7 +343,9 @@ class MeteredString:
         before the call returns the blocks as a sequence in charge order,
         unsliced: a block is sliced only when indexed.
         """
-        return _Blocks(self._data, size, self._charge(starts, size, start, length))
+        pos = self._charge(starts, size, start, length)
+        # a handle keeps starts of its own, whatever the caller's become
+        return _Blocks(self._data, size, pos.copy() if pos is starts else pos)
 
     def read_range(self, start: int, length: int) -> list[int]:
         """The block [start, start + length): the one-start case of `read_blocks`."""

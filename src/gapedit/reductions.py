@@ -20,7 +20,12 @@ decided longest first, each in charge order, by the reduction: the meter
 only charges and slices. One equal-cover per decision holds the window
 positions that lie in a pair already compared equal. A block inside it is
 equal and is skipped unsliced, which settles most short tiles of a
-multilevel plan, as each lies inside a longer tile. Any other block not yet
+multilevel plan, as each lies inside a longer tile. Such a block does not
+even reach the decide loop when it lies inside one equal pair of a longer
+length: each run drops those with one array test, a `np.searchsorted` of
+its starts into the equal pairs' starts, so the loop visits, per start, only
+the open blocks (on a `fine-blocks` YES call, about 560 of the 15,360
+starts longer than beta). Any other block not yet
 sent to the oracle at its length is sliced and compared: an equal pair is
 YES with no oracle call (ED = 0 <= beta) and joins the cover, and an
 unequal one goes to a pair oracle, once. The first NO fixes the verdict;
@@ -55,6 +60,7 @@ one call per block window.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -258,10 +264,18 @@ def _run_gap_calls(
     loop alone decides. The runs go longest first (plan order among equal
     lengths), each in charge order. `same` covers the window positions that
     lie in a pair already compared equal, and a block inside it is equal,
-    so it is skipped unsliced. Any other block whose start is not yet `sent`
-    to the oracle at its length is sliced and compared: an equal pair is
-    YES with no leaf call (ED = 0 <= beta) and is added to `same`, an
-    unequal one goes to the oracle, and the first NO is the verdict.
+    so it is skipped unsliced. Most such blocks never reach the Python loop:
+    once a longer length has an equal pair, each run drops, with one
+    `np.searchsorted` of its starts into those pairs' starts, every block
+    that lies inside the last of them starting at or before it. On a
+    multilevel plan that is every covered block, since the equal pairs are
+    disjoint tiles and tiles nest; a block the union of pairs covers, or
+    one covered by a pair of its own length, is left to the loop's
+    `same.find`. Any other block whose start is not yet `sent` to the
+    oracle at its length is sliced and compared: an equal pair is YES with
+    no leaf call (ED = 0 <= beta) and is added to `same` and to the pairs
+    by start, an unequal one goes to the oracle, and the first NO is the
+    verdict.
     The first run no longer than beta ends the decision YES, since an
     aligned block pair is never farther apart than its length. Long blocks
     go first: on a NO instance they are the likeliest to hold more than
@@ -274,18 +288,37 @@ def _run_gap_calls(
     ]
     _tally(sum(len(starts) for _, starts in runs))
     same = bytearray(len(xv))
+    # the pairs compared equal, by start: the j-th starts at firsts[j] and
+    # ends at ends[j + 1]; ends[0] = -1 ends no pair, for starts before them all
+    firsts: list[int] = []
+    ends = [-1]
     for length, group in groupby(sorted(read, key=itemgetter(0), reverse=True), itemgetter(0)):
         if length <= beta:
             break
         sent: set[int] = set()
         ones = b"\x01" * length
+        lo = None
+        if firsts:
+            lo = np.array(firsts, np.int64)
+            # last[j + 1]: the last start of a block of this length inside the j-th pair
+            last = np.array(ends, np.int64) - length
         for _, starts, xs, ys in group:
-            for i, s in enumerate(starts.tolist()):
+            if lo is not None:
+                # open: not inside the last earlier equal pair that starts at
+                # or before it
+                idx = np.flatnonzero(last[np.searchsorted(lo, starts, "right")] < starts)
+                blocks = zip(idx.tolist(), starts[idx].tolist())
+            else:
+                blocks = enumerate(starts.tolist())
+            for i, s in blocks:
                 if s in sent or same.find(0, s, s + length) < 0:
                     continue
                 bx, by = xs[i], ys[i]
                 if bx == by:
                     same[s : s + length] = ones
+                    j = bisect_right(firsts, s)
+                    firsts.insert(j, s)
+                    ends.insert(j + 1, s + length)
                 else:
                     sent.add(s)
                     if not oracle(bx, by, alpha, beta, rs):

@@ -181,6 +181,47 @@ def test_read_blocks_takes_integer_starts_only():
         assert ms.log[-4:] == [0, 1, 5, 6]
 
 
+def test_iterators_are_read_once_and_refusals_name_the_position():
+    # an iterator or a generator cannot be indexed: the charge routine reads
+    # it into a list once, so a refused position raises IndexError naming it
+    # as given, an int beyond int64 too, and nothing is charged
+    ms = MeteredString(range(4), log=True, track_distinct=True)
+    for make in (iter, lambda p: (v for v in p)):
+        for positions, bad in (([9], 9), ([1, -2], -2), ([0, 2**70], 2**70)):
+            with pytest.raises(IndexError, match=bounds_message(bad, 4, 1)):
+                ms.read_many(make(positions))
+            with pytest.raises(IndexError, match=bounds_message(bad, 4, 1)):
+                ms.read_blocks(make(positions), 1)
+            with pytest.raises(IndexError, match=bounds_message(bad, 3, 1)):
+                View(ms, 1, 3).read_many(make(positions))
+    assert (ms.count, ms.log, ms.distinct_count()) == (0, [], 0)
+    # an accepted iterator reads as its list
+    assert ms.read_many(iter([3, 0])).tolist() == [3, 0]
+    assert list(ms.read_blocks((s for s in [2, 0]), 2)) == [[2, 3], [0, 1]]
+    assert list(View(ms, 1, 3).fetch_blocks(iter([1]), 2)) == [[2, 3]]
+    assert ms.log == [3, 0, 2, 3, 0, 1, 2, 3] and ms.distinct_count() == 4
+
+
+def test_block_handles_own_their_starts():
+    # an int64 array at window start 0 is charged as the caller's own array,
+    # with no copy; a handle still copies it, so writes to the caller's array
+    # after the read do not move the blocks handed out
+    ms = MeteredString(range(100, 116), log=True)
+    for reader in (ms.read_blocks, ms.view().fetch_blocks, View(ms, 2, 12).fetch_blocks):
+        starts = np.array([0, 5, 3], dtype=np.int64)
+        blocks = reader(starts, 2)
+        want = [blocks[i] for i in range(3)]
+        starts[:] = [9, 1, 7]
+        assert [blocks[i] for i in range(3)] == want and list(blocks) == want
+        assert starts.tolist() == [9, 1, 7]
+    assert ms.log[:6] == [0, 1, 5, 6, 3, 4]
+    # a gather hands back fresh symbols, and leaves the caller's array alone
+    positions = np.array([4, 0], dtype=np.int64)
+    got = ms.read_many(positions)
+    positions[0] = 1
+    assert got.tolist() == [104, 100] and positions.tolist() == [1, 0]
+
+
 def test_read_blocks_takes_integer_arrays():
     # an integer array of any width or sign reads as the list of its ints,
     # through a View with an offset too; a float array, a start outside the

@@ -697,6 +697,81 @@ def test_run_gap_calls_never_slice_a_block_inside_an_equal_one():
     assert calls == [] and x.slices == [] and xm.count == 70
 
 
+@st.composite
+def multilevel_plan_cases(draw):
+    """(x, y, runs, beta) for _run_gap_calls on a drawn multilevel plan: n is
+    not a power of two, so each level has a short tail tile, the plan has
+    two or three passes, and x and y are binary with a few substitutions,
+    so most short tiles lie inside a longer tile found equal."""
+    n = draw(st.integers(24, 700).filter(lambda n: n & (n - 1)))
+    beta = draw(st.integers(1, 3))
+    alpha = draw(st.integers(10 * beta, 40 * beta))
+    tilings = [(1 << p, iters) for p, iters in multilevel_levels(n, alpha, beta)]
+    runs = reductions._draw_runs(
+        n, tilings * draw(st.integers(2, 3)), RandomStream(draw(st.integers(0, 2**32)))
+    )
+    x = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    diffs = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return x, [1 - v if i in diffs else v for i, v in enumerate(x)], runs, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(multilevel_plan_cases())
+def test_run_gap_calls_on_multilevel_plans_match_the_slicing_reference(case):
+    # the per-run containment test drops the blocks that lie inside an equal
+    # pair of a longer length, tail tiles included: verdict, leaf calls and
+    # their order, and reads are those of slicing every distinct block
+    x, y, runs, beta = case
+    xm, ym = MeteredString(x), MeteredString(y)
+    calls, want_calls = [], []
+
+    def leaf(bx, by, alpha, beta, rs):
+        calls.append((bx, by))
+        return gap_ed_banded(bx, by, beta) is not EXCEEDS
+
+    def want_leaf(bx, by):
+        want_calls.append((bx, by))
+        return gap_ed_banded(bx, by, beta) is not EXCEEDS
+
+    got = reductions._run_gap_calls(xm.view(), ym.view(), runs, beta, beta, leaf, RandomStream(0))
+    listed = [(length, starts.tolist()) for length, starts in runs]
+    assert got == sliced_gap_calls(x, y, listed, beta, want_leaf)
+    assert calls == want_calls
+    assert xm.count == ym.count == sum(l * len(starts) for l, starts in listed)
+
+
+def test_run_gap_calls_settle_union_covered_protruding_and_repeated_blocks():
+    # x and y differ at position 30 only. At length 8, [0, 8) and [8, 16)
+    # are equal and [24, 32) goes to the leaf. At length 4, [6, 10) lies in
+    # the union of two equal pairs but in neither, and is skipped unsliced;
+    # [13, 17) sticks out of [8, 16) by one position, so it is sliced and
+    # found equal, and the repeat of start 13 in the next run of its length
+    # is skipped unsliced. At length 2, [15, 17) lies inside [13, 17) alone
+    # and is skipped unsliced, and [29, 31) goes to the leaf
+    xl = list(range(200, 232))
+    yl = list(xl)
+    yl[30] += 1
+    xm, ym = MeteredString(xl), MeteredString(yl)
+    x, y = xm._data, ym._data = SliceCounting(xl), SliceCounting(yl)
+    calls = []
+
+    def leaf(bx, by, alpha, beta, rs):
+        calls.append((bx, by))
+        return True
+
+    listed = [(8, [0, 8, 24]), (4, [6, 13]), (4, [13, 20]), (2, [15, 29])]
+    assert reductions._run_gap_calls(
+        xm.view(), ym.view(), int64_runs(*listed), 1, 1, leaf, RandomStream(0)
+    )
+    sliced = [(0, 8), (8, 16), (24, 32), (13, 17), (20, 24), (29, 31)]
+    assert x.slices == y.slices == sliced
+    assert calls == [(xl[24:32], yl[24:32]), (xl[29:31], yl[29:31])]
+    want_calls = []
+    assert sliced_gap_calls(xl, yl, listed, 1, lambda bx, by: want_calls.append((bx, by)) or True)
+    assert calls == want_calls
+    assert xm.count == ym.count == 44
+
+
 def test_oracle_call_tally_scopes():
     reductions._tally(5)  # no tally open: nothing to count into
     with oracle_call_tally() as outer:
